@@ -12,6 +12,7 @@ from .errors import (
     FlatcheckError,
     GenericityFailure,
     GuardExceeded,
+    Guards,
     HypothesisViolation,
     InvalidInput,
     NotZeroDimensional,
@@ -31,13 +32,12 @@ from .flatness import (
     torsion_witnesses,
     verify_hypotheses,
 )
-from .groebner import Guards, GroebnerBasis, groebner_basis, normal_form
+from .groebner import GroebnerBasis, groebner_basis, normal_form
 from .ideals import (
     Ideal,
     contract_to_base,
     dimension,
     eliminate,
-    ideal_membership,
     ideal_sum,
     intersect,
     quotient,

@@ -13,9 +13,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .dsl import build_problem, parse_problem
-from .errors import FlatcheckError, GuardExceeded
+from .errors import FlatcheckError, GuardExceeded, Guards
 from .flatness import check_flatness, check_flatness_regular_source, verify_hypotheses
-from .groebner import Guards
 from .ideals import Ideal, contract_to_base, eliminate
 from .orders import MonomialOrder
 from .primdec import decompose
@@ -71,20 +70,6 @@ def _build_argparser():
     return parser
 
 
-def _guards(args):
-    return Guards(
-        max_pairs=args.max_pairs, max_degree=args.max_degree, timeout=args.timeout
-    ).start()
-
-
-def _guards_dict(args):
-    return {
-        "max_pairs": args.max_pairs,
-        "max_degree": args.max_degree,
-        "timeout": args.timeout,
-    }
-
-
 def _target_ideal(pf, args):
     """The declared ideal a standalone ideal command acts on."""
     target = args.target
@@ -103,39 +88,51 @@ def _target_ideal(pf, args):
 
 
 def _run_one(command, path, args):
-    guards_dict = _guards_dict(args)
+    """Run one command on one file under the guards the flags ask for.
+
+    The report's timings carry `parse` (reading the file, parsing it and,
+    for the flatness commands, building the problem, module radical
+    included) and `total`, from the start of the read to the finished
+    report.
+    """
+    guards = Guards(
+        max_pairs=args.max_pairs, max_degree=args.max_degree, timeout=args.timeout
+    )
+    guards_dict = dataclasses.asdict(guards)
     seed = args.seed
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        pf = parse_problem(text)
-        guards = _guards(args)
-        if command in ("check-flat", "check-flat-regular-source", "hypotheses"):
-            problem = build_problem(pf, seed=seed, guards=guards)
-            if args.waive_hypothesis:
-                problem = dataclasses.replace(
-                    problem, waived=tuple(args.waive_hypothesis)
-                )
+        with guards:
+            start = time.monotonic()
+            with open(path, "r", encoding="utf-8") as fh:
+                pf = parse_problem(fh.read())
+            if command in ("check-flat", "check-flat-regular-source", "hypotheses"):
+                problem = build_problem(pf, seed=seed)
+                if args.waive_hypothesis:
+                    problem = dataclasses.replace(
+                        problem, waived=tuple(args.waive_hypothesis)
+                    )
+            parsed = time.monotonic()
             if command == "hypotheses":
-                t0 = time.monotonic()
-                hyp = verify_hypotheses(problem, seed=seed, guards=guards)
+                hyp = verify_hypotheses(problem, seed=seed)
                 report = Report(
                     command=command,
                     hypotheses=hypothesis_entries(hyp),
                     guards=guards_dict,
                     seed=seed,
-                    timings={"total": time.monotonic() - t0},
                 )
-            else:
-                runner = (
-                    check_flatness
-                    if command == "check-flat"
-                    else check_flatness_regular_source
-                )
-                verdict = runner(problem, seed=seed, guards=guards)
+            elif command == "check-flat":
+                verdict = check_flatness(problem, seed=seed)
                 report = from_verdict(command, verdict, guards_dict, seed)
-        else:
-            report = _ideal_command(command, pf, args, guards, guards_dict)
+            elif command == "check-flat-regular-source":
+                verdict = check_flatness_regular_source(problem, seed=seed)
+                report = from_verdict(command, verdict, guards_dict, seed)
+            else:
+                report = _ideal_command(command, pf, args, guards_dict)
+            report.timings = {
+                "parse": parsed - start,
+                **report.timings,
+                "total": time.monotonic() - start,
+            }
         return report, 0
     except GuardExceeded as exc:
         guards_dict = dict(guards_dict, tripped=exc.guard)
@@ -158,8 +155,7 @@ def _run_one(command, path, args):
         return report, 2
 
 
-def _ideal_command(command, pf, args, guards, guards_dict):
-    t0 = time.monotonic()
+def _ideal_command(command, pf, args, guards_dict):
     I = _target_ideal(pf, args)
     seed = args.seed
     payload = {}
@@ -169,11 +165,11 @@ def _ideal_command(command, pf, args, guards, guards_dict):
             if args.order == "lex"
             else MonomialOrder.degrevlex(I.ring.nvars)
         )
-        gb = I.groebner(order, guards)
+        gb = I.groebner(order)
         payload["basis"] = [str(g) for g in gb]
         payload["order"] = args.order
     elif command == "primdec":
-        dec = decompose(I, seed=seed, guards=guards)
+        dec = decompose(I, seed=seed)
         payload["components"] = [
             {
                 "primary": [str(g) for g in c.primary.groebner()],
@@ -186,25 +182,19 @@ def _ideal_command(command, pf, args, guards, guards_dict):
         if not args.vars:
             raise FlatcheckError("eliminate requires --vars v1,v2,...")
         drop = [v.strip() for v in args.vars.split(",") if v.strip()]
-        E = eliminate(I, drop, guards)
+        E = eliminate(I, drop)
         payload["basis"] = [str(g) for g in E.groebner()]
         payload["ring"] = list(E.ring.variables)
     elif command == "contract":
         if pf.base_name is None:
             raise FlatcheckError("contract requires a declared base ring")
         base_ring = PolyRing(pf.rings[pf.base_name].variables)
-        C = contract_to_base(I, base_ring, guards)
+        C = contract_to_base(I, base_ring)
         payload["basis"] = [str(g) for g in C.groebner()]
         payload["ring"] = list(base_ring.variables)
     else:  # pragma: no cover - argparse restricts the choices
         raise FlatcheckError(f"unknown command {command!r}")
-    return Report(
-        command=command,
-        guards=guards_dict,
-        seed=seed,
-        timings={"total": time.monotonic() - t0},
-        payload=payload,
-    )
+    return Report(command=command, guards=guards_dict, seed=seed, payload=payload)
 
 
 def _run_one_star(work):

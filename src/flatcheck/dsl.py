@@ -371,7 +371,7 @@ def parse_polynomial(text, ring):
     return poly
 
 
-def build_problem(pf, seed=0, guards=None):
+def build_problem(pf, seed=0):
     """Resolve a ProblemFile into a FlatnessProblem.
 
     radical(...) module relations are resolved here by an actual radical
@@ -384,7 +384,7 @@ def build_problem(pf, seed=0, guards=None):
     base_decl = pf.rings[pf.base_name]
     base_ring = PolyRing(base_decl.variables)
     q = Ideal(base_ring, base_decl.generators)
-    base = BaseRing.create(base_ring, q, guards=guards)
+    base = BaseRing.create(base_ring, q)
 
     if pf.module_name is None:
         raise InvalidInput("problem file declares no module")
@@ -394,7 +394,7 @@ def build_problem(pf, seed=0, guards=None):
     mod_ring = PolyRing(mod_decl.variables)
     I = Ideal(mod_ring, mod_decl.generators)
     if mod_decl.radical_requested and not I.is_zero():
-        I, _ = radical_and_minimal(I, seed=seed, guards=guards)
+        I, _ = radical_and_minimal(I, seed=seed)
     # The base relations are implied module relations.
     I = Ideal(
         mod_ring,

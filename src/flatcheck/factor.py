@@ -9,14 +9,18 @@ used internally; the public API speaks Polynomial.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt
 from typing import List, Tuple
 
-from .errors import GuardExceeded, InvalidInput
+from .errors import GuardExceeded, Guards, InvalidInput
 from .rings import Polynomial
+
+# Recombination tries at most this many subsets of the modular factors.
+MAX_SUBSETS = 200000
 
 # -- dense helpers over Z / Q -------------------------------------------------
 
@@ -223,8 +227,10 @@ def _hensel_pair(f, g, h, p, k):
     """
     # Bezout: s*g + t*h = 1 mod p
     s, t = _bezout_p(g, h, p)
+    guards = Guards.current()
     q = p
     while q < p**k:
+        guards.check_time()
         q2 = min(q * q, p**k)
         # e = f - g*h mod q2
         e = _mod_list(_add(f, _neg(_mul(g, h))), q2)
@@ -323,7 +329,7 @@ _SMALL_PRIMES = [
 ]
 
 
-def _factor_squarefree_z(f, seed=0, max_subsets=200000):
+def _factor_squarefree_z(f, seed=0):
     """Irreducible factors over Z of a primitive squarefree integer poly."""
     n = _deg(f)
     if n <= 1:
@@ -363,13 +369,13 @@ def _factor_squarefree_z(f, seed=0, max_subsets=200000):
     current = list(f)
     tried = 0
     size = 1
-    import itertools
-
+    guards = Guards.current()
     while 2 * size <= len(remaining):
         found = False
         for combo in itertools.combinations(remaining, size):
+            guards.check_time()
             tried += 1
-            if tried > max_subsets:
+            if tried > MAX_SUBSETS:
                 raise GuardExceeded("recombination")
             lc = current[-1]
             cand = [lc % q]
@@ -476,7 +482,7 @@ def squarefree_factorization(f):
     return Factorization(unit, factors)
 
 
-def factor_univariate(f, seed=0, max_subsets=200000):
+def factor_univariate(f, seed=0):
     """Irreducible monic factorization over Q with exact reassembly."""
     sqf = squarefree_factorization(f)
     out = []
@@ -487,7 +493,7 @@ def factor_univariate(f, seed=0, max_subsets=200000):
         prim, _cont = _primitive(ints)
         if prim[-1] < 0:
             prim = [-x for x in prim]
-        for irr in _factor_squarefree_z(prim, seed=seed, max_subsets=max_subsets):
+        for irr in _factor_squarefree_z(prim, seed=seed):
             lc = Fraction(irr[-1])
             monic = [Fraction(x) / lc for x in irr]
             out.append((_from_coeffs(f.ring, var, monic), mult))

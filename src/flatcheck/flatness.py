@@ -20,14 +20,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from .errors import HypothesisViolation, InvalidInput, VariableClash
-from .ideals import (
-    Ideal,
-    contract_to_base,
-    dimension,
-    eliminate,
-    ideal_sum,
-)
+from .errors import GuardExceeded, HypothesisViolation, InvalidInput, VariableClash
+from .ideals import Ideal, contract_to_base, dimension, ideal_sum
 from .primdec import decompose
 from .rings import PolyRing, VarMap
 
@@ -42,12 +36,12 @@ class BaseRing:
     n_overridden: bool = False
 
     @classmethod
-    def create(cls, ring, q, n=None, guards=None):
+    def create(cls, ring, q, n=None):
         if q.ring != ring:
             raise VariableClash("defining ideal outside the base ring")
-        if q.is_unit(guards):
+        if q.is_unit():
             raise InvalidInput("base defining ideal is the unit ideal")
-        computed = dimension(q, guards)
+        computed = dimension(q)
         if n is None:
             return cls(ring, q, computed, False)
         return cls(ring, q, n, n != computed)
@@ -206,19 +200,19 @@ def build_fibred_power(base, module, n, cover=None):
 # -- torsion test ---------------------------------------------------------------
 
 
-def torsion_witnesses(J, base, seed=0, guards=None):
+def torsion_witnesses(J, base, seed=0):
     """Associated primes of J contracting strictly past q, with retry count."""
     for g in base.q.generators:
-        if not J.contains(J.ring.transport(g), guards):
+        if not J.contains(J.ring.transport(g)):
             raise InvalidInput("fibred-power ideal does not contain q")
     if J.is_zero():
         return [], 0
-    dec = decompose(J, seed=seed, guards=guards)
-    q_basis = tuple(base.q.groebner(guards=guards))
+    dec = decompose(J, seed=seed)
+    q_basis = tuple(base.q.groebner())
     out = []
     for comp in dec.components:
-        c = contract_to_base(comp.prime, base.ring, guards)
-        if tuple(c.groebner(guards=guards)) != q_basis:
+        c = contract_to_base(comp.prime, base.ring)
+        if tuple(c.groebner()) != q_basis:
             out.append(Witness(comp.prime, c))
     return out, dec.retries
 
@@ -255,7 +249,7 @@ def _det(m, ring):
     return out
 
 
-def verify_hypotheses(problem, seed=0, guards=None):
+def verify_hypotheses(problem, seed=0):
     base = problem.base
     cover = problem.cover or RegularCover.identity(base)
     checks = []
@@ -265,9 +259,9 @@ def verify_hypotheses(problem, seed=0, guards=None):
         checks.append(HypothesisCheck("base_prime", "pass", "q = <0> in a domain"))
     else:
         try:
-            dec = decompose(base.q, seed=seed, guards=guards)
+            dec = decompose(base.q, seed=seed)
             comps = dec.components
-            if len(comps) == 1 and comps[0].primary.equals(comps[0].prime, guards):
+            if len(comps) == 1 and comps[0].primary.equals(comps[0].prime):
                 checks.append(
                     HypothesisCheck("base_prime", "pass", "q has a single prime component")
                 )
@@ -279,12 +273,14 @@ def verify_hypotheses(problem, seed=0, guards=None):
                         f"q has {len(comps)} primary components",
                     )
                 )
+        except GuardExceeded:
+            raise  # a tripped guard ends the run, it is not a verdict on q
         except Exception as exc:  # decomposition failure is a failed check
             checks.append(HypothesisCheck("base_prime", "fail", str(exc)))
 
     # Dimensions: dim q = n = dim L.
-    dim_q = dimension(base.q, guards)
-    dim_l = dimension(cover.L, guards)
+    dim_q = dimension(base.q)
+    dim_l = dimension(cover.L)
     if dim_q == base.n == dim_l:
         checks.append(
             HypothesisCheck("dimensions", "pass", f"dim q = dim L = n = {base.n}")
@@ -299,8 +295,8 @@ def verify_hypotheses(problem, seed=0, guards=None):
         )
 
     # Dominance: eliminating the cover variables from L recovers exactly q.
-    ker = contract_to_base(cover.L, base.ring, guards)
-    if ker.equals(base.q, guards):
+    ker = contract_to_base(cover.L, base.ring)
+    if ker.equals(base.q):
         checks.append(HypothesisCheck("cover_dominant", "pass", "contraction of L equals q"))
     else:
         checks.append(
@@ -319,7 +315,7 @@ def verify_hypotheses(problem, seed=0, guards=None):
         )
     else:
         minors = _jacobian_minor_ideal(cover.L, cover.cover_vars, codim)
-        if ideal_sum(minors, cover.L).is_unit(guards):
+        if ideal_sum(minors, cover.L).is_unit():
             checks.append(
                 HypothesisCheck(
                     "cover_smooth", "pass", "Jacobian minors + L generate <1>"
@@ -354,9 +350,9 @@ def verify_hypotheses(problem, seed=0, guards=None):
 # -- the decision procedure -------------------------------------------------------
 
 
-def _run_pipeline(problem, n, cover, seed, guards):
+def _run_pipeline(problem, n, cover, seed):
     t0 = time.monotonic()
-    report = verify_hypotheses(problem, seed=seed, guards=guards)
+    report = verify_hypotheses(problem, seed=seed)
     t1 = time.monotonic()
     failures = report.failures()
     if failures:
@@ -365,7 +361,7 @@ def _run_pipeline(problem, n, cover, seed, guards):
         )
     J, renames = build_fibred_power(problem.base, problem.module, n, cover)
     t2 = time.monotonic()
-    witnesses, retries = torsion_witnesses(J, problem.base, seed, guards)
+    witnesses, retries = torsion_witnesses(J, problem.base, seed)
     t3 = time.monotonic()
 
     waived_any = any(c.status == "waived" for c in report.checks)
@@ -388,7 +384,6 @@ def _run_pipeline(problem, n, cover, seed, guards):
         "hypotheses": t1 - t0,
         "build": t2 - t1,
         "decompose": t3 - t2,
-        "total": t3 - t0,
     }
     return Verdict(
         result=result,
@@ -404,14 +399,14 @@ def _run_pipeline(problem, n, cover, seed, guards):
     )
 
 
-def check_flatness(problem, seed=0, guards=None):
+def check_flatness(problem, seed=0):
     """The main criterion: n-fold fibred power tensored with the cover."""
     n = problem.power if problem.power is not None else problem.base.n
     cover = problem.cover or RegularCover.identity(problem.base)
-    return _run_pipeline(problem, n, cover, seed, guards)
+    return _run_pipeline(problem, n, cover, seed)
 
 
-def check_flatness_regular_source(problem, seed=0, guards=None):
+def check_flatness_regular_source(problem, seed=0):
     """Regular-source variant: (n+1)-fold power, no cover."""
     n = problem.power if problem.power is not None else problem.base.n + 1
-    return _run_pipeline(problem, n, None, seed, guards)
+    return _run_pipeline(problem, n, None, seed)

@@ -14,10 +14,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import GuardExceeded, InvalidInput
+from .errors import GuardExceeded, Guards, InvalidInput
 from .factor import factor_univariate
 from .groebner import division
 from .rings import Polynomial, VarMap
+
+# Recombination tries at most this many subsets of the lifted factors.
+MAX_SUBSETS = 100000
 
 # -- exact division and multivariate gcd ---------------------------------------
 
@@ -369,7 +372,7 @@ def _mulmod_q(a, b, g):
     return _divmod_q(_mul(a, b), g)[1]
 
 
-def ff_factor_squarefree(m, t, params, max_subsets=100000):
+def ff_factor_squarefree(m, t, params):
     """Irreducible factors over Q(U) of a squarefree primitive m in Q[U][t].
 
     Returns primitive representatives in Q[U][t]; the product equals m up
@@ -396,8 +399,9 @@ def ff_factor_squarefree(m, t, params, max_subsets=100000):
     sigma = _param_degree(shifted, t) + 1
     bezout = _bezout_family(gs)
     lifted = [_univ_poly_from_coeffs(ring, t, g) for g in gs]
-    tvar = ring.var(t)
+    guards = Guards.current()
     for degree in range(1, sigma + 1):
+        guards.check_time()
         prod = ring.one()
         for F in lifted:
             prod = _truncate_param(prod * F, t, sigma)
@@ -413,6 +417,7 @@ def ff_factor_squarefree(m, t, params, max_subsets=100000):
             key = tuple(key)
             slices.setdefault(key, {})[exps[i_t]] = c
         for key, tcoeffs in slices.items():
+            guards.check_time()
             dense = [Fraction(0)] * (max(tcoeffs) + 1)
             for e, c in tcoeffs.items():
                 dense[e] = c
@@ -432,8 +437,9 @@ def ff_factor_squarefree(m, t, params, max_subsets=100000):
     while 2 * size <= len(remaining):
         found = False
         for combo in itertools.combinations(remaining, size):
+            guards.check_time()
             tried += 1
-            if tried > max_subsets:
+            if tried > MAX_SUBSETS:
                 raise GuardExceeded("ff_recombination")
             cand = ring.one()
             for i in combo:
@@ -476,12 +482,12 @@ def _factor_poly_coeffs(p, t):
     return t, coeffs
 
 
-def ff_factor(m, t, params, max_subsets=100000):
+def ff_factor(m, t, params):
     """Full factorization over Q(U): [(primitive irreducible, multiplicity)]."""
     out = []
     for part, mult in ff_squarefree_decomposition(m, t):
         if part.degree_in(t) == 0:
             continue
-        for irr in ff_factor_squarefree(part, t, params, max_subsets):
+        for irr in ff_factor_squarefree(part, t, params):
             out.append((irr, mult))
     return out

@@ -2,41 +2,13 @@
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from . import _kernels
-from .errors import GuardExceeded, InvalidInput, VariableClash
+from .errors import Guards, InvalidInput, VariableClash
 from .rings import Polynomial
-
-
-@dataclass
-class Guards:
-    """Resource caps.  Tripping a guard raises, never returns a wrong answer."""
-
-    max_pairs: Optional[int] = None
-    max_degree: Optional[int] = None
-    timeout: Optional[float] = None  # seconds of wall time
-    _deadline: Optional[float] = field(default=None, repr=False)
-
-    def start(self):
-        if self.timeout is not None and self._deadline is None:
-            self._deadline = time.monotonic() + self.timeout
-        return self
-
-    def check_time(self):
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            raise GuardExceeded("time")
-
-    def check_degree(self, f):
-        if self.max_degree is not None and f.total_degree() > self.max_degree:
-            raise GuardExceeded("degree")
-
-    def check_pairs(self, count):
-        if self.max_pairs is not None and count > self.max_pairs:
-            raise GuardExceeded("pairs")
 
 
 @dataclass(frozen=True)
@@ -59,12 +31,14 @@ def _same_ring(polys):
     return rings.pop() if rings else None
 
 
-def division(f, divisors, order, guards=None):
+def division(f, divisors, order):
     """Multivariate division: returns (cofactors, remainder).
 
     f == sum(cofactors[i] * divisors[i]) + remainder, and no term of the
     remainder is divisible by any divisor's leading monomial.  Divisors
-    are tried in listed order, so the result is deterministic.
+    are tried in listed order, so the result is deterministic.  Every
+    step polls the active guards for time and for the degree of what is
+    left to divide.
     """
     _same_ring([f, *divisors])
     ring = f.ring
@@ -78,11 +52,9 @@ def division(f, divisors, order, guards=None):
     find = _kernels.find_divisor
     div = _kernels.monomial_div
     leading = _kernels.leading_exponent
-    steps = 0
+    guards = Guards.current()
     while p:
-        steps += 1
-        if guards is not None and steps % 64 == 0:
-            guards.check_time()
+        guards.check_time()
         lead = leading(p.keys(), spec)
         coeff = p[lead]
         j = find(lead, lms)
@@ -103,22 +75,18 @@ def division(f, divisors, order, guards=None):
                 p[key] = s
             elif key in p:
                 del p[key]
-        if guards is not None:
-            if guards.max_degree is not None and p:
-                d = max(sum(e) for e in p)
-                if d > guards.max_degree:
-                    raise GuardExceeded("degree")
+        guards.check_degree(p)
     return cofactors, Polynomial(ring, remainder)
 
 
-def normal_form(f, divisors, order, guards=None):
+def normal_form(f, divisors, order):
     """Remainder of f on division by the listed polynomials."""
     if not divisors or f.is_zero():
         # NF against the empty set is f itself.
         divisors = [g for g in divisors if not g.is_zero()]
         if not divisors:
             return f
-    _, r = division(f, divisors, order, guards)
+    _, r = division(f, divisors, order)
     return r
 
 
@@ -135,7 +103,7 @@ def s_polynomial(f, g, order):
     return a - b
 
 
-def buchberger(gens, order, guards=None, use_coprime=True, use_chain=True):
+def buchberger(gens, order, use_coprime=True, use_chain=True):
     """A (non-reduced) Groebner basis of the ideal generated by gens.
 
     Pair selection is the normal strategy: minimal lcm total degree,
@@ -143,7 +111,7 @@ def buchberger(gens, order, guards=None, use_coprime=True, use_chain=True):
     be toggled for the equivalence tests; they never change the reduced
     basis obtained afterwards.
     """
-    guards = (guards or Guards()).start()
+    guards = Guards.current()
     G = [g for g in gens if not g.is_zero()]
     _same_ring(G)
     if not G:
@@ -185,10 +153,10 @@ def buchberger(gens, order, guards=None, use_coprime=True, use_chain=True):
             if skip:
                 continue
         s = s_polynomial(G[i], G[j], order)
-        r = normal_form(s, G, order, guards)
+        r = normal_form(s, G, order)
         if r.is_zero():
             continue
-        guards.check_degree(r)
+        guards.check_degree(r.terms)
         G.append(r.monic(order))
         lms.append(r.leading_term(order)[0])
         new = len(G) - 1
@@ -197,7 +165,7 @@ def buchberger(gens, order, guards=None, use_coprime=True, use_chain=True):
     return G
 
 
-def reduce_basis(G, order, guards=None):
+def reduce_basis(G, order):
     """Unique reduced basis: monic, auto-reduced, sorted by leading monomial."""
     polys = [g.monic(order) for g in G if not g.is_zero()]
     if not polys:
@@ -215,14 +183,14 @@ def reduce_basis(G, order, guards=None):
     reduced = []
     for i, f in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(f, others, order, guards)
+        r = normal_form(f, others, order)
         if not r.is_zero():
             reduced.append(r.monic(order))
     reduced.sort(key=lambda f: order.key(f.leading_term(order)[0]), reverse=True)
     return GroebnerBasis(tuple(reduced), order, reduced=True)
 
 
-def groebner_basis(gens, order, guards=None, use_coprime=True, use_chain=True):
+def groebner_basis(gens, order, use_coprime=True, use_chain=True):
     """Reduced Groebner basis of <gens> under order."""
-    G = buchberger(gens, order, guards, use_coprime, use_chain)
-    return reduce_basis(G, order, guards)
+    G = buchberger(gens, order, use_coprime, use_chain)
+    return reduce_basis(G, order)

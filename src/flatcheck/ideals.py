@@ -5,11 +5,13 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from . import _kernels
-from .errors import InvalidInput, VariableClash
-from .groebner import Guards, groebner_basis, normal_form
+from .errors import GuardExceeded, Guards, InvalidInput, VariableClash
+from .groebner import division, groebner_basis, normal_form
 from .orders import MonomialOrder
-from .rings import PolyRing, Polynomial
+from .rings import PolyRing
+
+# Quotient steps allowed before saturation counts as not stabilizing.
+SATURATION_STEPS = 512
 
 
 class Ideal:
@@ -31,40 +33,36 @@ class Ideal:
         self.generators = tuple(gens)
         self._cache = {}
 
-    def groebner(self, order=None, guards=None):
+    def groebner(self, order=None):
         order = order or self.ring.default_order
         hit = self._cache.get(order.descriptor)
         if hit is None:
-            hit = groebner_basis(self.generators, order, guards)
+            hit = groebner_basis(self.generators, order)
             self._cache[order.descriptor] = hit
         return hit
 
-    def contains(self, f, guards=None):
+    def contains(self, f):
         if f.ring != self.ring:
             raise VariableClash("membership test across rings")
-        gb = self.groebner(guards=guards)
-        return normal_form(f, list(gb), gb.order, guards).is_zero()
+        gb = self.groebner()
+        return normal_form(f, list(gb), gb.order).is_zero()
 
-    def contains_ideal(self, other, guards=None):
-        return all(self.contains(g, guards) for g in other.generators)
+    def contains_ideal(self, other):
+        return all(self.contains(g) for g in other.generators)
 
     def is_zero(self):
         return not self.generators
 
-    def is_unit(self, guards=None):
-        return self.contains(self.ring.one(), guards)
+    def is_unit(self):
+        return self.contains(self.ring.one())
 
-    def equals(self, other, guards=None):
+    def equals(self, other):
         if self.ring != other.ring:
             return False
-        return self.contains_ideal(other, guards) and other.contains_ideal(self, guards)
+        return self.contains_ideal(other) and other.contains_ideal(self)
 
     def __repr__(self):
         return "<" + ", ".join(map(str, self.generators)) + ">"
-
-
-def ideal_membership(f, I, guards=None):
-    return I.contains(f, guards)
 
 
 def ideal_sum(I, J):
@@ -87,7 +85,7 @@ def _extended_ring(ring, new_vars, front=True):
     return PolyRing(variables), names
 
 
-def intersect(I, J, guards=None):
+def intersect(I, J):
     """I n J by the auxiliary-variable trick: eliminate t from t*I + (1-t)*J."""
     if I.ring != J.ring:
         raise VariableClash("intersection across rings")
@@ -99,13 +97,13 @@ def intersect(I, J, guards=None):
     gens = [t * big.transport(g) for g in I.generators]
     gens += [(big.one() - t) * big.transport(g) for g in J.generators]
     order = MonomialOrder.elimination([big.var_index(t_name)], big.nvars)
-    gb = groebner_basis(gens, order, guards)
+    gb = groebner_basis(gens, order)
     t_i = big.var_index(t_name)
     out = [ring.transport(g) for g in gb if all(e[t_i] == 0 for e in g.terms)]
     return Ideal(ring, out)
 
 
-def quotient(I, f, guards=None):
+def quotient(I, f):
     """(I : f) computed as (I n <f>) / f."""
     if f.is_zero():
         raise InvalidInput("quotient by the zero polynomial")
@@ -113,39 +111,34 @@ def quotient(I, f, guards=None):
         raise VariableClash("quotient across rings")
     if I.is_zero():
         return Ideal(I.ring)
-    inter = intersect(I, Ideal(I.ring, [f]), guards)
+    inter = intersect(I, Ideal(I.ring, [f]))
     gens = []
     for g in inter.generators:
-        cof, rem = _exact_divide(g, f, guards)
+        (cof,), rem = division(g, [f], g.ring.default_order)
         if not rem.is_zero():
             raise InvalidInput("internal: intersection element not divisible")
         gens.append(cof)
     return Ideal(I.ring, gens)
 
 
-def _exact_divide(g, f, guards=None):
-    from .groebner import division
-
-    cofs, rem = division(g, [f], g.ring.default_order, guards)
-    return cofs[0], rem
-
-
-def saturate(I, f, guards=None, max_steps=512):
+def saturate(I, f):
     """(I : f^inf) together with the stabilizing exponent."""
     if f.is_zero():
         raise InvalidInput("saturation by the zero polynomial")
+    guards = Guards.current()
     current = I
     exponent = 0
-    for _ in range(max_steps):
-        nxt = quotient(current, f, guards)
-        if nxt.ring == current.ring and current.contains_ideal(nxt, guards):
+    for _ in range(SATURATION_STEPS):
+        guards.check_time()
+        nxt = quotient(current, f)
+        if nxt.ring == current.ring and current.contains_ideal(nxt):
             return current, exponent
         current = nxt
         exponent += 1
-    raise InvalidInput("saturation did not stabilize")
+    raise GuardExceeded("saturation", "saturation did not stabilize")
 
 
-def eliminate(I, drop, guards=None):
+def eliminate(I, drop):
     """I n Q[remaining variables], returned in the smaller ring."""
     ring = I.ring
     drop = set(drop)
@@ -157,7 +150,7 @@ def eliminate(I, drop, guards=None):
     small = PolyRing(keep)
     drop_idx = [ring.var_index(v) for v in sorted(drop)]
     order = MonomialOrder.elimination(drop_idx, ring.nvars)
-    gb = I.groebner(order, guards)
+    gb = I.groebner(order)
     out = []
     for g in gb:
         if all(all(e[i] == 0 for i in drop_idx) for e in g.terms):
@@ -165,24 +158,24 @@ def eliminate(I, drop, guards=None):
     return Ideal(small, out)
 
 
-def contract_to_base(P, base_ring, guards=None):
+def contract_to_base(P, base_ring):
     """Eliminate every variable outside base_ring and reinterpret there."""
     names = set(base_ring.variables)
     for v in names:
         if v not in P.ring.variables:
             raise VariableClash(f"base variable {v!r} missing from the big ring")
     drop = [v for v in P.ring.variables if v not in names]
-    small = eliminate(P, drop, guards)
+    small = eliminate(P, drop)
     return Ideal(base_ring, [base_ring.transport(g) for g in small.generators])
 
 
-def dimension(I, guards=None):
+def dimension(I):
     """Krull dimension of ring/I via independent sets of the lead-term ideal.
 
     dim(<1>) is -1 by convention.
     """
     ring = I.ring
-    gb = I.groebner(guards=guards)
+    gb = I.groebner()
     if any(g.is_constant() and not g.is_zero() for g in gb):
         return -1
     lms = [g.leading_term(gb.order)[0] for g in gb]
@@ -198,15 +191,15 @@ def dimension(I, guards=None):
     return 0
 
 
-def independent_sets(I, guards=None):
+def independent_sets(I):
     """All maximal-size independent variable sets of LT(I), as name tuples."""
     ring = I.ring
-    gb = I.groebner(guards=guards)
+    gb = I.groebner()
     if any(g.is_constant() and not g.is_zero() for g in gb):
         return []
     lms = [g.leading_term(gb.order)[0] for g in gb]
     n = ring.nvars
-    d = dimension(I, guards)
+    d = dimension(I)
     found = []
     for subset in combinations(range(n), d):
         s = set(subset)
@@ -215,7 +208,7 @@ def independent_sets(I, guards=None):
     return found
 
 
-def radical_membership(f, I, guards=None):
+def radical_membership(f, I):
     """f in sqrt(I), by the Rabinowitsch trick."""
     if f.ring != I.ring:
         raise VariableClash("radical membership across rings")
@@ -225,5 +218,5 @@ def radical_membership(f, I, guards=None):
     t = big.var(t_name)
     gens = [big.transport(g) for g in I.generators]
     gens.append(t * big.transport(f) - big.one())
-    gb = groebner_basis(gens, big.default_order, guards)
+    gb = groebner_basis(gens, big.default_order)
     return len(gb) == 1 and next(iter(gb)).is_constant()

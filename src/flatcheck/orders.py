@@ -93,9 +93,3 @@ class MonomialOrder:
 
     def __repr__(self):
         return f"MonomialOrder({self._descriptor})"
-
-
-def compare_monomials(a, b, order):
-    """Spec-level compare: returns "LESS", "EQUAL", or "GREATER"."""
-    c = order.compare(tuple(a), tuple(b))
-    return "LESS" if c < 0 else ("GREATER" if c > 0 else "EQUAL")

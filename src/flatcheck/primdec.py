@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from .errors import GenericityFailure, InvalidInput, NotZeroDimensional
 from .funcfield import (
@@ -40,6 +40,9 @@ from .ideals import (
 from .orders import MonomialOrder
 from .rings import VarMap
 
+# Generic redraws allowed before a decomposition gives up.
+RETRIES = 8
+
 
 @dataclass(frozen=True)
 class PrimaryComponent:
@@ -61,7 +64,7 @@ class _Retry(Exception):
 # -- minimal polynomials via elimination ----------------------------------------
 
 
-def _minimal_polynomial(I, form, params=(), guards=None):
+def _minimal_polynomial(I, form, params=()):
     """Minimal polynomial of `form` over Q(params), modulo I.
 
     Returns (m, tname, ering) with m a primitive polynomial in
@@ -72,7 +75,7 @@ def _minimal_polynomial(I, form, params=(), guards=None):
     gens = [big.transport(g) for g in I.generators]
     gens.append(big.var(tname) - big.transport(form))
     drop = [v for v in ring.variables if v not in params]
-    E = eliminate(Ideal(big, gens), drop, guards)
+    E = eliminate(Ideal(big, gens), drop)
     if not E.generators:
         raise InvalidInput("form is transcendental: ideal not zero-dimensional")
     m = E.generators[0]
@@ -102,12 +105,12 @@ def _ff_squarefree_part(m, tname):
 # -- standard monomial counting --------------------------------------------------
 
 
-def _dep_lead_exponents(I, dep_names, guards=None):
+def _dep_lead_exponents(I, dep_names):
     """Leading exponents over Q(U), restricted to the dep positions."""
     ring = I.ring
     dep_idx = [ring.var_index(v) for v in dep_names]
     order = MonomialOrder.elimination(dep_idx, ring.nvars)
-    gb = I.groebner(order, guards)
+    gb = I.groebner(order)
     leads = set()
     for g in gb:
         lm = g.leading_term(order)[0]
@@ -115,13 +118,13 @@ def _dep_lead_exponents(I, dep_names, guards=None):
     return sorted(leads)
 
 
-def vector_space_dimension(I, params=(), guards=None):
+def vector_space_dimension(I, params=()):
     """dim_{Q(params)} of the quotient; requires zero-dim over Q(params)."""
     ring = I.ring
     deps = [v for v in ring.variables if v not in params]
     if not deps:
         raise NotZeroDimensional("no dependent variables")
-    leads = _dep_lead_exponents(I, deps, guards)
+    leads = _dep_lead_exponents(I, deps)
     if any(all(e == 0 for e in lm) for lm in leads):
         return 0  # unit ideal over Q(params)
     k = len(deps)
@@ -147,7 +150,7 @@ def vector_space_dimension(I, params=(), guards=None):
 # -- contraction from Q(U)[deps] back to Q[x] ------------------------------------
 
 
-def _lead_coefficient_lcm(I, params, guards=None):
+def _lead_coefficient_lcm(I, params):
     """lcm of the Q[params]-leading coefficients of the block-order basis."""
     from .funcfield import multivariate_gcd, exact_divide
 
@@ -155,7 +158,7 @@ def _lead_coefficient_lcm(I, params, guards=None):
     deps = [v for v in ring.variables if v not in params]
     dep_idx = [ring.var_index(v) for v in deps]
     order = MonomialOrder.elimination(dep_idx, ring.nvars)
-    gb = I.groebner(order, guards)
+    gb = I.groebner(order)
     h = ring.one()
     for g in gb:
         lm = g.leading_term(order)[0]
@@ -199,12 +202,12 @@ def _squarefree_multivariate(h):
     return exact_divide(h, g)
 
 
-def _contract(I, params, guards=None):
+def _contract(I, params):
     """I . Q(params)[deps] n Q[x], via saturation by the lead-coeff lcm."""
-    h = _lead_coefficient_lcm(I, params, guards)
+    h = _lead_coefficient_lcm(I, params)
     if h.is_constant():
         return I
-    sat, _ = saturate(I, h, guards)
+    sat, _ = saturate(I, h)
     return sat
 
 
@@ -219,27 +222,27 @@ def _generic_form(ring, dep_names, rng):
     return f
 
 
-def _certify_maximal(P, params, rng, guards=None):
+def _certify_maximal(P, params, rng):
     """Shape-position certificate that P is maximal over Q(params)."""
     ring = P.ring
     deps = [v for v in ring.variables if v not in params]
     form = _generic_form(ring, deps, rng)
-    m, tname, _ = _minimal_polynomial(P, form, params, guards)
+    m, tname, _ = _minimal_polynomial(P, form, params)
     factors = ff_factor(m, tname, [v for v in m.ring.variables if v != tname])
     if len(factors) != 1 or factors[0][1] != 1:
         raise _Retry("radical is not prime for this projection")
-    if m.degree_in(tname) != vector_space_dimension(P, params, guards):
+    if m.degree_in(tname) != vector_space_dimension(P, params):
         raise _Retry("projection form is not separating")
 
 
-def _radical_over_field(I, params, guards=None):
+def _radical_over_field(I, params):
     """Radical of I over Q(params) (Seidenberg), contracted to Q[x]."""
     ring = I.ring
     deps = [v for v in ring.variables if v not in params]
     gens = list(I.generators)
     for xj in deps:
         others = set(deps) - {xj}
-        E = eliminate(I, others, guards)
+        E = eliminate(I, others)
         if not E.generators:
             raise NotZeroDimensional(f"{xj} is transcendental over Q(params)")
         m = E.generators[0]
@@ -249,19 +252,19 @@ def _radical_over_field(I, params, guards=None):
         gens.append(ring.transport(_ff_squarefree_part(m, xj)))
     rad = Ideal(ring, gens)
     if params:
-        rad = _contract(rad, params, guards)
+        rad = _contract(rad, params)
     return rad
 
 
-def _reduced(I, guards=None):
+def _reduced(I):
     """Ideal re-presented by its reduced degrevlex basis (canonical form)."""
-    gb = I.groebner(guards=guards)
+    gb = I.groebner()
     out = Ideal(I.ring, tuple(gb))
     out._cache[gb.order.descriptor] = gb
     return out
 
 
-def _zero_dim_over_field(I, params, rng, guards=None):
+def _zero_dim_over_field(I, params, rng):
     """Primary components of I, zero-dimensional over Q(params).
 
     For params != (), I must already equal the contraction of its own
@@ -273,43 +276,41 @@ def _zero_dim_over_field(I, params, rng, guards=None):
     stack = [I]
     while stack:
         J = stack.pop()
-        if J.is_unit(guards):
+        if J.is_unit():
             continue
         # Re-present by the reduced basis: split branches otherwise carry
         # huge raw generators into every elimination below.
-        J = _reduced(J, guards)
+        J = _reduced(J)
         form = _generic_form(ring, deps, rng)
-        m, tname, _ = _minimal_polynomial(J, form, params, guards)
+        m, tname, _ = _minimal_polynomial(J, form, params)
         factors = ff_factor(m, tname, [v for v in m.ring.variables if v != tname])
         if len(factors) == 1:
-            prime = _radical_over_field(J, params, guards)
-            _certify_maximal(prime, params, rng, guards)
-            out.append(PrimaryComponent(_reduced(J, guards), _reduced(prime, guards)))
+            prime = _radical_over_field(J, params)
+            _certify_maximal(prime, params, rng)
+            out.append(PrimaryComponent(_reduced(J), _reduced(prime)))
             continue
         for f, e in factors:
             fe = _substitute_form(f, tname, form, ring) ** e
             sub = ideal_sum(J, Ideal(ring, [fe]))
             if params:
-                sub = _contract(sub, params, guards)
+                sub = _contract(sub, params)
             stack.append(sub)
     return out
 
 
-def zero_dim_decompose(I, seed=0, retries=8, guards=None):
+def zero_dim_decompose(I, seed=0):
     """Irredundant primary decomposition of a zero-dimensional ideal."""
-    if I.is_unit(guards):
+    if I.is_unit():
         raise InvalidInput("decomposition of the unit ideal")
-    if dimension(I, guards) != 0:
+    if dimension(I) != 0:
         raise NotZeroDimensional("ideal is not zero-dimensional")
-    comps, _ = _with_retries(
-        lambda rng: _zero_dim_over_field(I, (), rng, guards), seed, retries
-    )
-    return _irredundant(comps, guards)
+    comps, _ = _with_retries(lambda rng: _zero_dim_over_field(I, (), rng), seed)
+    return _irredundant(comps)
 
 
-def _with_retries(fn, seed, retries):
+def _with_retries(fn, seed):
     last = None
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         rng = random.Random(1_000_003 * seed + attempt)
         try:
             return fn(rng), attempt
@@ -321,43 +322,41 @@ def _with_retries(fn, seed, retries):
 # -- general decomposition ---------------------------------------------------------
 
 
-def _decompose_once(I, rng, guards=None):
+def _decompose_once(I, rng):
     comps = []
     stack = [I]
     while stack:
         J = stack.pop()
-        if J.is_unit(guards):
+        if J.is_unit():
             continue
-        J = _reduced(J, guards)
-        d = dimension(J, guards)
+        J = _reduced(J)
+        d = dimension(J)
         if d < 0:
             continue
         if d == 0:
-            comps.extend(_zero_dim_over_field(J, (), rng, guards))
+            comps.extend(_zero_dim_over_field(J, (), rng))
             continue
-        U = independent_sets(J, guards)[0]
-        h = _lead_coefficient_lcm(J, U, guards)
+        U = independent_sets(J)[0]
+        h = _lead_coefficient_lcm(J, U)
         if h.is_constant():
-            comps.extend(_zero_dim_over_field(J, U, rng, guards))
+            comps.extend(_zero_dim_over_field(J, U, rng))
             continue
-        J1, s = saturate(J, h, guards)
-        if not J1.is_unit(guards):
-            comps.extend(_zero_dim_over_field(J1, U, rng, guards))
+        J1, s = saturate(J, h)
+        if not J1.is_unit():
+            comps.extend(_zero_dim_over_field(J1, U, rng))
         if s > 0:
             stack.append(ideal_sum(J, Ideal(J.ring, [h**s])))
     return comps
 
 
-def decompose(I, seed=0, retries=8, guards=None):
+def decompose(I, seed=0):
     """Irredundant primary decomposition in any dimension."""
     if I.is_zero():
         return Decomposition([PrimaryComponent(I, I)], seed, 0)
-    if I.is_unit(guards):
+    if I.is_unit():
         raise InvalidInput("decomposition of the unit ideal")
-    comps, attempts = _with_retries(
-        lambda rng: _decompose_once(I, rng, guards), seed, retries
-    )
-    return Decomposition(_irredundant(comps, guards), seed, attempts)
+    comps, attempts = _with_retries(lambda rng: _decompose_once(I, rng), seed)
+    return Decomposition(_irredundant(comps), seed, attempts)
 
 
 def _prime_key(P):
@@ -365,14 +364,14 @@ def _prime_key(P):
     return tuple(str(g) for g in gb)
 
 
-def _irredundant(comps, guards=None):
+def _irredundant(comps):
     """Merge same-prime primaries, drop redundant components, sort."""
     by_prime = {}
     for c in comps:
         key = _prime_key(c.prime)
         if key in by_prime:
             prev = by_prime[key]
-            merged = _reduced(intersect(prev.primary, c.primary, guards), guards)
+            merged = _reduced(intersect(prev.primary, c.primary))
             by_prime[key] = PrimaryComponent(merged, prev.prime)
         else:
             by_prime[key] = c
@@ -385,30 +384,28 @@ def _irredundant(comps, guards=None):
             rest = [c for i, c in enumerate(items) if i != j]
             inter = rest[0].primary
             for c in rest[1:]:
-                inter = intersect(inter, c.primary, guards)
-            if items[j].primary.contains_ideal(inter, guards):
+                inter = intersect(inter, c.primary)
+            if items[j].primary.contains_ideal(inter):
                 items.pop(j)
                 changed = True
                 break
     return items
 
 
-def associated_primes(I, seed=0, retries=8, guards=None):
+def associated_primes(I, seed=0):
     """Ass of ring/I, embedded primes included, canonically sorted."""
-    dec = decompose(I, seed, retries, guards)
+    dec = decompose(I, seed)
     return [c.prime for c in dec.components]
 
 
-def radical_and_minimal(I, seed=0, retries=8, guards=None):
+def radical_and_minimal(I, seed=0):
     """(radical, minimal primes) from a primary decomposition."""
-    primes = associated_primes(I, seed, retries, guards)
+    primes = associated_primes(I, seed)
     minimal = []
     for p in primes:
-        if not any(
-            q is not p and p.contains_ideal(q, guards) for q in primes
-        ):
+        if not any(q is not p and p.contains_ideal(q) for q in primes):
             minimal.append(p)
     rad = minimal[0]
     for p in minimal[1:]:
-        rad = intersect(rad, p, guards)
-    return _reduced(rad, guards), minimal
+        rad = intersect(rad, p)
+    return _reduced(rad), minimal

@@ -379,24 +379,3 @@ class VarMap:
             raise VariableClash("maps are not composable")
         images = {v: self(inner.images[v]) for v in inner.source.variables}
         return VarMap(inner.source, self.target, images)
-
-
-def apply_map(f, varmap):
-    return varmap(f)
-
-
-def normalize(f):
-    """Rebuild the canonical form.  Idempotent; construction already
-    canonicalizes, so this mainly serves as an explicit invariant check."""
-    return Polynomial(f.ring, f.terms)
-
-
-def poly_arith(op, f, g):
-    """Spec-level dispatch kept for symmetry with the operators."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise InvalidInput(f"unknown operation {op!r}")

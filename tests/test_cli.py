@@ -182,6 +182,14 @@ def test_guard_trip_exit_3(capsys):
     assert rep["guards"]["tripped"] in ("pairs", "degree", "time")
 
 
+def test_total_covers_every_stage(capsys):
+    code, rep = run_json(["check-flat", problems.path("douady")], capsys)
+    assert code == 0
+    t = rep["timings"]
+    assert set(t) == {"parse", "hypotheses", "build", "decompose", "total"}
+    assert t["total"] >= t["parse"] + t["hypotheses"] + t["build"] + t["decompose"]
+
+
 def test_timeout_guard(capsys):
     code, rep = run_json(
         ["check-flat", problems.path("douady"), "--timeout", "0.0"], capsys

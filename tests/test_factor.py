@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from flatcheck.errors import InvalidInput
+from flatcheck.errors import GuardExceeded, Guards, InvalidInput
 from flatcheck.factor import (
     factor_univariate,
     squarefree_factorization,
@@ -228,3 +228,15 @@ def test_factor_agrees_with_oracle_on_random_inputs():
         if squarefree and integral_monic:
             irreducible = len(fac.factors) == 1 and fac.factors[0][1] == 1
             assert irreducible == brute_force_irreducible(f.monic())
+
+
+def test_timeout_trips_inside_factor_univariate():
+    # Swinnerton-Dyer polynomial of {2, 3, 5, 7}: irreducible over Q, but it
+    # splits into factors of degree <= 2 modulo every prime, so Hensel
+    # lifting and recombination have work to poll in.
+    coeffs = [1, 0, -136, 0, 6476, 0, -141912, 0, 1513334, 0, -7453176, 0,
+              13950764, 0, -5596840, 0, 46225]
+    f = sum((c * X ** (16 - i) for i, c in enumerate(coeffs) if c), RING.zero())
+    with pytest.raises(GuardExceeded) as exc, Guards(timeout=0):
+        factor_univariate(f)
+    assert exc.value.guard == "time"

@@ -2,7 +2,9 @@
 
 import pytest
 
-from flatcheck.errors import HypothesisViolation, InvalidInput
+from flatcheck import problems
+from flatcheck.dsl import build_problem, parse_problem
+from flatcheck.errors import GuardExceeded, Guards, HypothesisViolation, InvalidInput
 from flatcheck.flatness import (
     BaseRing,
     FlatnessProblem,
@@ -234,6 +236,14 @@ def test_hypotheses_douady(cusp_base, incidence_module, cusp_cover):
         "cover_smooth": "pass",
         "analytically_irreducible": "asserted",
     }
+
+
+def test_verify_hypotheses_lets_guard_trips_through():
+    # A tripped guard ends the run; it must not read as a failed base_prime.
+    problem = build_problem(parse_problem(problems.read("douady-no-cover")))
+    with pytest.raises(GuardExceeded) as exc, Guards(max_degree=1):
+        verify_hypotheses(problem)
+    assert exc.value.guard == "degree"
 
 
 def test_reducible_base_fails():

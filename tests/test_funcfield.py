@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from flatcheck.errors import GuardExceeded, Guards
 from flatcheck.funcfield import (
     ff_factor,
     ff_gcd_in_t,
@@ -110,3 +113,11 @@ def test_ff_factor_random_products_reassemble():
             recon = recon * p**mult
         # equality up to a unit of Q(U)
         assert _canon(recon, "t") == _canon(m, "t")
+
+
+def test_timeout_trips_inside_ff_factor():
+    ring = PolyRing(("u", "t"))
+    u, t = ring.gens()
+    with pytest.raises(GuardExceeded) as exc, Guards(timeout=0):
+        ff_factor(t**2 - u**2, "t", ["u"])
+    assert exc.value.guard == "time"

@@ -109,21 +109,40 @@ def test_guards_trip():
     ring = PolyRing(("x", "y", "z"))
     x, y, z = ring.gens()
     gens = [x**3 - y * z + 1, y**4 - x * z - 2, z**5 - x * y]
-    with pytest.raises(GuardExceeded) as exc:
-        groebner_basis(gens, ring.default_order, Guards(max_pairs=1).start())
+    with pytest.raises(GuardExceeded) as exc, Guards(max_pairs=1):
+        groebner_basis(gens, ring.default_order)
     assert exc.value.guard == "pairs"
     ring2 = PolyRing(("x", "y"))
     x2, y2 = ring2.gens()
-    with pytest.raises(GuardExceeded) as exc:
-        groebner_basis(
-            [x2**2 + y2**2 - 1, x2 * y2 - 1],
-            ring2.default_order,
-            Guards(max_degree=1).start(),
-        )
+    with pytest.raises(GuardExceeded) as exc, Guards(max_degree=1):
+        groebner_basis([x2**2 + y2**2 - 1, x2 * y2 - 1], ring2.default_order)
     assert exc.value.guard == "degree"
-    with pytest.raises(GuardExceeded) as exc:
-        groebner_basis(gens, ring.default_order, Guards(timeout=0.0).start())
+    with pytest.raises(GuardExceeded) as exc, Guards(timeout=0.0):
+        groebner_basis(gens, ring.default_order)
     assert exc.value.guard == "time"
+
+
+def test_tripped_block_leaves_no_guards_behind():
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.gens()
+    gens = [x**3 - y * z + 1, y**4 - x * z - 2, z**5 - x * y]
+    with pytest.raises(GuardExceeded), Guards(timeout=0.0):
+        groebner_basis(gens, ring.default_order)
+    assert Guards.current() == Guards()
+    assert len(groebner_basis(gens, ring.default_order)) > 0
+
+
+def test_nested_guards_restore_the_outer_ones():
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    outer = Guards(max_pairs=1000)
+    with outer:
+        with pytest.raises(GuardExceeded) as exc, Guards(max_degree=1):
+            groebner_basis([x**2 + y**2 - 1, x * y - 1], ring.default_order)
+        assert exc.value.guard == "degree"
+        assert Guards.current() is outer
+        assert len(groebner_basis([x**2 + y**2 - 1, x * y - 1], ring.default_order)) > 0
+    assert Guards.current() == Guards()
 
 
 # -- the >= 200-instance property suite ------------------------------------------

@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from flatcheck.errors import InvalidInput, VariableClash
+from flatcheck import ideals
+from flatcheck.errors import GuardExceeded, InvalidInput, VariableClash
 from flatcheck.ideals import (
     Ideal,
     contract_to_base,
@@ -68,6 +69,15 @@ def test_saturation(qxy):
     assert S.is_unit() and e == 2
     S, e = saturate(Ideal(qxy, [x * y]), x)
     assert S.equals(Ideal(qxy, [y])) and e == 1
+
+
+def test_saturation_cap_is_a_guard(qxy, monkeypatch):
+    x, _ = qxy.gens()
+    # <x^2> : x^inf = <1> stabilizes only at the third quotient; allow one.
+    monkeypatch.setattr(ideals, "SATURATION_STEPS", 1)
+    with pytest.raises(GuardExceeded) as exc:
+        saturate(Ideal(qxy, [x**2]), x)
+    assert exc.value.guard == "saturation"
 
 
 def test_saturation_blowup():

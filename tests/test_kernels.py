@@ -1,70 +1,4 @@
-"""Parity between the pure-Python and compiled monomial kernels."""
-
-import random
-
-import pytest
-
-from flatcheck._kernels import pure
-
-try:
-    from flatcheck._kernels import _speedups as compiled
-except ImportError:  # pragma: no cover - environment without a compiler
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled kernels not built"
-)
-
-
-def random_monomials(rng, nvars, count):
-    return [
-        tuple(rng.randint(0, 6) for _ in range(nvars)) for _ in range(count)
-    ]
-
-
-def random_spec(rng, nvars):
-    indices = list(range(nvars))
-    rng.shuffle(indices)
-    cut = rng.randint(0, nvars)
-    blocks = []
-    for part in (indices[:cut], indices[cut:]):
-        if part:
-            blocks.append((rng.choice(("lex", "degrevlex")), tuple(sorted(part))))
-    if not blocks:
-        blocks.append(("degrevlex", tuple(range(nvars))))
-    return tuple(blocks)
-
-
-@needs_compiled
-def test_kernel_parity_exhaustive_small():
-    rng = random.Random(7)
-    for nvars in (1, 2, 3, 5):
-        mons = random_monomials(rng, nvars, 40)
-        spec = random_spec(rng, nvars)
-        for a in mons[:15]:
-            for b in mons[:15]:
-                assert pure.monomial_mul(a, b) == compiled.monomial_mul(a, b)
-                assert pure.monomial_lcm(a, b) == compiled.monomial_lcm(a, b)
-                assert pure.monomial_divides(a, b) == compiled.monomial_divides(a, b)
-                if pure.monomial_divides(a, b):
-                    assert pure.monomial_div(b, a) == compiled.monomial_div(b, a)
-                assert pure.monomial_cmp(a, b, spec) == compiled.monomial_cmp(a, b, spec)
-            assert pure.total_degree(a) == compiled.total_degree(a)
-        assert pure.leading_exponent(mons, spec) == compiled.leading_exponent(mons, spec)
-        lms = mons[:10]
-        for m in mons:
-            assert pure.find_divisor(m, lms) == compiled.find_divisor(m, lms)
-
-
-@needs_compiled
-def test_kernel_parity_many_specs():
-    rng = random.Random(11)
-    for trial in range(200):
-        nvars = rng.randint(1, 6)
-        spec = random_spec(rng, nvars)
-        a, b = random_monomials(rng, nvars, 2)
-        assert pure.monomial_cmp(a, b, spec) == compiled.monomial_cmp(a, b, spec)
-        assert pure.monomial_cmp(a, b, spec) == -pure.monomial_cmp(b, a, spec)
+"""The monomial kernels' exports."""
 
 
 def test_selected_implementation_exports():

@@ -3,24 +3,24 @@
 import random
 
 from flatcheck._kernels import monomial_mul
-from flatcheck.orders import MonomialOrder, compare_monomials
+from flatcheck.orders import MonomialOrder
 
 
 def test_lex_first_exponent_wins():
     ord2 = MonomialOrder.lex(2)
     # x^2 vs x*y under lex with x > y
-    assert compare_monomials((2, 0), (1, 1), ord2) == "GREATER"
+    assert ord2.compare((2, 0), (1, 1)) > 0
 
 
 def test_reflexivity():
     for order in (MonomialOrder.lex(3), MonomialOrder.degrevlex(3)):
-        assert compare_monomials((1, 2, 3), (1, 2, 3), order) == "EQUAL"
+        assert order.compare((1, 2, 3), (1, 2, 3)) == 0
 
 
 def test_degrevlex_equal_degree_case():
     # degrevlex x>y>z: xz vs y^2 (both degree 2) -> LESS
     order = MonomialOrder.degrevlex(3)
-    assert compare_monomials((1, 0, 1), (0, 2, 0), order) == "LESS"
+    assert order.compare((1, 0, 1), (0, 2, 0)) < 0
 
 
 def test_orders_are_global():
@@ -37,7 +37,7 @@ def test_orders_are_global():
         if m == one:
             continue
         for order in orders:
-            assert compare_monomials(one, m, order) == "LESS"
+            assert order.compare(one, m) < 0
 
 
 def test_multiplicativity():
@@ -52,14 +52,14 @@ def test_multiplicativity():
         b = tuple(rng.randint(0, 4) for _ in range(3))
         c = tuple(rng.randint(0, 4) for _ in range(3))
         for order in orders:
-            rel = compare_monomials(a, b, order)
-            assert compare_monomials(monomial_mul(a, c), monomial_mul(b, c), order) == rel
+            rel = order.compare(a, b)
+            assert order.compare(monomial_mul(a, c), monomial_mul(b, c)) == rel
 
 
 def test_elimination_block_dominates():
     # Any positive power of a dropped variable beats everything in the tail.
     order = MonomialOrder.elimination([0], 3)
-    assert compare_monomials((1, 0, 0), (0, 9, 9), order) == "GREATER"
+    assert order.compare((1, 0, 0), (0, 9, 9)) > 0
 
 
 def test_key_agrees_with_compare():
@@ -68,7 +68,7 @@ def test_key_agrees_with_compare():
         mons = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(30)]
         by_key = sorted(mons, key=order.key)
         for a, b in zip(by_key, by_key[1:]):
-            assert compare_monomials(a, b, order) in ("LESS", "EQUAL")
+            assert order.compare(a, b) <= 0
 
 
 def test_descriptor_distinguishes_orders():
