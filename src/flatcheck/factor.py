@@ -189,6 +189,7 @@ def _factor_mod_p(f, p, rng):
             v = _divmod_p(v, g, p)[0]
             h = _divmod_p(h, v, p)[1]
     # Equal-degree (Cantor-Zassenhaus) phase.
+    guards = Guards.current()
     for d, g in stages:
         work = [g]
         while work:
@@ -197,6 +198,7 @@ def _factor_mod_p(f, p, rng):
                 factors.append(w)
                 continue
             while True:
+                guards.check_time()
                 a = [rng.randrange(p) for _ in range(_deg(w))] + [1]
                 if p == 2:
                     # trace map splitting

@@ -328,8 +328,10 @@ def _good_point(m, t, params):
     """Integer point where the monic m stays squarefree in t."""
     from .factor import _gcd_q, _deriv
 
+    guards = Guards.current()
     for radius in range(0, 12):
         for point in itertools.product(range(-radius, radius + 1), repeat=len(params)):
+            guards.check_time()
             if max((abs(x) for x in point), default=0) != radius:
                 continue
             assignment = dict(zip(params, point))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -31,26 +32,26 @@ def _same_ring(polys):
     return rings.pop() if rings else None
 
 
-def division(f, divisors, order):
-    """Multivariate division: returns (cofactors, remainder).
+def _reduce(f, divisors, order, quotients=None):
+    """Remainder of f on division by divisors, in listed order.
 
-    f == sum(cofactors[i] * divisors[i]) + remainder, and no term of the
-    remainder is divisible by any divisor's leading monomial.  Divisors
-    are tried in listed order, so the result is deterministic.  Every
-    step polls the active guards for time and for the degree of what is
-    left to divide.
+    With a list `quotients` (one dict per divisor), each reduction step
+    also records its quotient term there; `normal_form` passes none and
+    builds no cofactors.  Every step polls the active guards for time and
+    for the degree of what is left to divide.
     """
     _same_ring([f, *divisors])
-    ring = f.ring
     nonzero = [(i, g) for i, g in enumerate(divisors) if not g.is_zero()]
+    if not nonzero or f.is_zero():
+        return f
     lms = [g.leading_term(order)[0] for _, g in nonzero]
     lcs = [g.leading_term(order)[1] for _, g in nonzero]
-    cofactors = [ring.zero() for _ in divisors]
     remainder = {}
     p = dict(f.terms)
     spec = order.spec
     find = _kernels.find_divisor
     div = _kernels.monomial_div
+    mul = _kernels.monomial_mul
     leading = _kernels.leading_exponent
     guards = Guards.current()
     while p:
@@ -65,29 +66,42 @@ def division(f, divisors, order):
         i, g = nonzero[j]
         m = div(lead, lms[j])
         c = coeff / lcs[j]
-        cofactors[i] = cofactors[i] + ring.monomial(m, c)
+        if quotients is not None:
+            # The leads strictly decrease, so m is new in quotients[i].
+            quotients[i][m] = c
         # p -= c * x^m * g
-        mul = _kernels.monomial_mul
         for e, gc in g.terms.items():
             key = mul(e, m)
-            s = p.get(key, Fraction(0)) - c * gc
-            if s:
-                p[key] = s
-            elif key in p:
-                del p[key]
+            s = p.get(key)
+            if s is None:
+                p[key] = -(c * gc)
+            else:
+                s -= c * gc
+                if s:
+                    p[key] = s
+                else:
+                    del p[key]
         guards.check_degree(p)
-    return cofactors, Polynomial(ring, remainder)
+    return Polynomial(f.ring, remainder)
+
+
+def division(f, divisors, order):
+    """Multivariate division: returns (cofactors, remainder).
+
+    f == sum(cofactors[i] * divisors[i]) + remainder, and no term of the
+    remainder is divisible by any divisor's leading monomial.  Divisors
+    are tried in listed order, so the result is deterministic.  Every
+    step polls the active guards for time and for the degree of what is
+    left to divide.
+    """
+    quotients = [{} for _ in divisors]
+    remainder = _reduce(f, divisors, order, quotients)
+    return [Polynomial(f.ring, q) for q in quotients], remainder
 
 
 def normal_form(f, divisors, order):
     """Remainder of f on division by the listed polynomials."""
-    if not divisors or f.is_zero():
-        # NF against the empty set is f itself.
-        divisors = [g for g in divisors if not g.is_zero()]
-        if not divisors:
-            return f
-    _, r = division(f, divisors, order)
-    return r
+    return _reduce(f, divisors, order)
 
 
 def s_polynomial(f, g, order):
@@ -106,10 +120,11 @@ def s_polynomial(f, g, order):
 def buchberger(gens, order, use_coprime=True, use_chain=True):
     """A (non-reduced) Groebner basis of the ideal generated by gens.
 
-    Pair selection is the normal strategy: minimal lcm total degree,
-    ties broken by pair index.  The coprime-lead and chain criteria can
-    be toggled for the equivalence tests; they never change the reduced
-    basis obtained afterwards.
+    Pair selection is the normal strategy.  Pairs wait in a heap keyed by
+    the total degree of their lcm, each lcm computed once when its pair
+    is made; ties go to the lower index pair (i, j).  The coprime-lead and
+    chain criteria can be toggled for the equivalence tests; they never
+    change the reduced basis obtained afterwards.
     """
     guards = Guards.current()
     G = [g for g in gens if not g.is_zero()]
@@ -117,26 +132,26 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
     if not G:
         return []
     lms = [g.leading_term(order)[0] for g in G]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-    done = set()
-    processed = 0
     lcm = _kernels.monomial_lcm
     mul = _kernels.monomial_mul
     divides = _kernels.monomial_divides
-
-    def pair_key(p):
-        i, j = p
-        return (sum(lcm(lms[i], lms[j])), i, j)
+    # Entries (lcm total degree, i, j, lcm): (i, j) is unique, so the
+    # heap order is a total order and the lcms are never compared.
+    pairs = []
+    for j in range(1, len(G)):
+        for i in range(j):
+            L = lcm(lms[i], lms[j])
+            pairs.append((sum(L), i, j, L))
+    heapq.heapify(pairs)
+    done = set()
+    processed = 0
 
     while pairs:
         guards.check_time()
-        best = min(pairs, key=pair_key)
-        pairs.discard(best)
-        done.add(best)
+        _, i, j, L = heapq.heappop(pairs)
+        done.add((i, j))
         processed += 1
         guards.check_pairs(processed)
-        i, j = best
-        L = lcm(lms[i], lms[j])
         if use_coprime and L == mul(lms[i], lms[j]):
             continue
         if use_chain:
@@ -158,10 +173,12 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
             continue
         guards.check_degree(r.terms)
         G.append(r.monic(order))
-        lms.append(r.leading_term(order)[0])
+        lm = r.leading_term(order)[0]
+        lms.append(lm)
         new = len(G) - 1
         for k in range(new):
-            pairs.add((k, new))
+            L = lcm(lms[k], lm)
+            heapq.heappush(pairs, (sum(L), k, new, L))
     return G
 
 

@@ -1,11 +1,14 @@
 """Command-line interface: commands, exit codes, and report schema."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import flatcheck
 from flatcheck import problems
 from flatcheck.cli import main
 from flatcheck.report import SCHEMA_VERSION
@@ -224,10 +227,16 @@ def test_jobs_batch(capsys):
 
 
 def test_entry_point_subprocess():
+    # The child imports the same flatcheck as this process, also when only
+    # pytest's `pythonpath` setting put it on sys.path.
+    env = dict(os.environ)
+    src = str(Path(flatcheck.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "flatcheck.cli", "gb", problems.path("xy-collapse")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "y*x" in proc.stdout

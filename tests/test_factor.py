@@ -8,6 +8,7 @@ import pytest
 
 from flatcheck.errors import GuardExceeded, Guards, InvalidInput
 from flatcheck.factor import (
+    _factor_mod_p,
     factor_univariate,
     squarefree_factorization,
     squarefree_part,
@@ -240,3 +241,14 @@ def test_timeout_trips_inside_factor_univariate():
     with pytest.raises(GuardExceeded) as exc, Guards(timeout=0):
         factor_univariate(f)
     assert exc.value.guard == "time"
+
+
+def test_timeout_trips_inside_cantor_zassenhaus():
+    # (x - 1)(x - 2) mod 7: the distinct-degree phase leaves both roots in
+    # one stage, so the equal-degree splitting loop must run.
+    p = 7
+    f = [2, p - 3, 1]
+    with pytest.raises(GuardExceeded) as exc, Guards(timeout=0):
+        _factor_mod_p(f, p, random.Random(0))
+    assert exc.value.guard == "time"
+    assert sorted(_factor_mod_p(f, p, random.Random(0))) == [[p - 2, 1], [p - 1, 1]]

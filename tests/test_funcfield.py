@@ -6,6 +6,7 @@ import pytest
 
 from flatcheck.errors import GuardExceeded, Guards
 from flatcheck.funcfield import (
+    _good_point,
     ff_factor,
     ff_gcd_in_t,
     ff_squarefree_decomposition,
@@ -121,3 +122,14 @@ def test_timeout_trips_inside_ff_factor():
     with pytest.raises(GuardExceeded) as exc, Guards(timeout=0):
         ff_factor(t**2 - u**2, "t", ["u"])
     assert exc.value.guard == "time"
+
+
+def test_timeout_trips_inside_good_point_search():
+    # At u = 0, t^2 - u is not squarefree, so the search moves on to the
+    # next point; under a spent budget it stops at the first one.
+    ring = PolyRing(("u", "t"))
+    u, t = ring.gens()
+    with pytest.raises(GuardExceeded) as exc, Guards(timeout=0):
+        _good_point(t**2 - u, "t", ["u"])
+    assert exc.value.guard == "time"
+    assert _good_point(t**2 - u, "t", ["u"]) == {"u": -1}

@@ -145,6 +145,61 @@ def test_nested_guards_restore_the_outer_ones():
     assert Guards.current() == Guards()
 
 
+def _cyclic4():
+    ring = PolyRing(("x0", "x1", "x2", "x3"))
+    a, b, c, d = ring.gens()
+    gens = [
+        a + b + c + d,
+        a * b + b * c + c * d + d * a,
+        a * b * c + b * c * d + c * d * a + d * a * b,
+        a * b * c * d - 1,
+    ]
+    return gens, MonomialOrder.degrevlex(4)
+
+
+def _katsura3():
+    ring = PolyRing(("x0", "x1", "x2", "x3"))
+    a, b, c, d = ring.gens()
+    gens = [
+        a**2 + 2 * b**2 + 2 * c**2 + 2 * d**2 - a,
+        2 * a * b + 2 * b * c + 2 * c * d - b,
+        2 * a * c + 2 * b * d + b**2 - c,
+        a + 2 * b + 2 * c + 2 * d - 1,
+    ]
+    return gens, MonomialOrder.lex(4)
+
+
+@pytest.mark.parametrize(
+    "system, pairs, size",
+    [(_cyclic4, 45, 10), (_katsura3, 153, 18)],
+    ids=["cyclic-4-degrevlex", "katsura-3-lex"],
+)
+def test_pair_selection_order_is_pinned(system, pairs, size):
+    """The normal strategy completes after exactly these many pairs.
+
+    A different pair key changes which S-polynomials are reduced before
+    the basis is complete, and with them this count.
+    """
+    gens, order = system()
+    with Guards(max_pairs=pairs):
+        G = buchberger(gens, order)
+    assert len(G) == size
+    with pytest.raises(GuardExceeded) as exc, Guards(max_pairs=pairs - 1):
+        buchberger(gens, order)
+    assert exc.value.guard == "pairs"
+
+
+def test_pair_ties_go_to_the_lower_index():
+    # Ties in lcm degree are broken by (i, j); breaking them the other way
+    # appends x1*x3^4 and x2^3*x3^2 in the opposite order.
+    gens, order = _cyclic4()
+    G = buchberger(gens, order)
+    assert [g.leading_term(order)[0] for g in G[len(gens):]] == [
+        (0, 2, 0, 0), (0, 1, 2, 0), (0, 1, 1, 2),
+        (0, 1, 0, 4), (0, 0, 3, 2), (0, 0, 2, 4),
+    ]
+
+
 # -- the >= 200-instance property suite ------------------------------------------
 
 
