@@ -5,11 +5,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Tuple
 
 from . import _kernels
-from .errors import Guards, InvalidInput, VariableClash
-from .rings import Polynomial
+from .errors import Guards, VariableClash
+from .rings import Polynomial, _primitive
 
 
 @dataclass(frozen=True)
@@ -32,23 +33,38 @@ def _same_ring(polys):
     return rings.pop() if rings else None
 
 
-def _reduce(f, divisors, order, quotients=None):
-    """Remainder of f on division by divisors, in listed order.
+def _tables(polys, order):
+    """Leads, primitive integer forms and their leading coefficients."""
+    lms, forms, lcs = [], [], []
+    for g in polys:
+        lm = g.leading_term(order)[0]
+        form = g.integer_form()[0]
+        lms.append(lm)
+        forms.append(form)
+        lcs.append(form[lm])
+    return lms, forms, lcs
 
-    With a list `quotients` (one dict per divisor), each reduction step
-    also records its quotient term there; `normal_form` passes none and
-    builds no cofactors.  Every step polls the active guards for time and
-    for the degree of what is left to divide.
+
+def _reduce(p, lms, forms, lcs, spec, quotients=None):
+    """Fraction-free remainder of the integer term map p (consumed).
+
+    Divisor j is the integer term map forms[j], with leading monomial
+    lms[j] and leading coefficient lcs[j]; the first one whose lead
+    divides the lead of p is used.  A step cancels that lead by
+    p <- a*p - b*x^m*forms[j], with a = lcs[j]/d > 0, b = coeff/d and
+    d = +-gcd(coeff, lcs[j]), and multiplies the running scale by a.
+    Returns (r, scale): an integer term map r, none of whose monomials a
+    lead divides, with scale*p == r modulo the divisors.  With a list
+    `quotients` (one dict per divisor), a step also records (b, scale)
+    under m in quotients[j]: the cofactor term b/scale*x^m.  Every step
+    polls the active guards for time and for the degree of what is left
+    to divide.
     """
-    _same_ring([f, *divisors])
-    nonzero = [(i, g) for i, g in enumerate(divisors) if not g.is_zero()]
-    if not nonzero or f.is_zero():
-        return f
-    lms = [g.leading_term(order)[0] for _, g in nonzero]
-    lcs = [g.leading_term(order)[1] for _, g in nonzero]
-    remainder = {}
-    p = dict(f.terms)
-    spec = order.spec
+    # Remainder terms with the scale at the step that set them aside;
+    # scaling them up to the final scale once, at the end, costs one
+    # product per term instead of one per term and step.
+    aside = []
+    scale = 1
     find = _kernels.find_divisor
     div = _kernels.monomial_div
     mul = _kernels.monomial_mul
@@ -57,32 +73,78 @@ def _reduce(f, divisors, order, quotients=None):
     while p:
         guards.check_time()
         lead = leading(p.keys(), spec)
-        coeff = p[lead]
         j = find(lead, lms)
         if j < 0:
-            remainder[lead] = coeff
-            del p[lead]
+            aside.append((lead, p.pop(lead), scale))
             continue
-        i, g = nonzero[j]
+        coeff = p[lead]
+        lc = lcs[j]
+        d = gcd(coeff, lc)
+        if lc < 0:
+            d = -d
+        a = lc // d
+        b = coeff // d
+        if a != 1:
+            p = {e: a * c for e, c in p.items()}
+            scale *= a
         m = div(lead, lms[j])
-        c = coeff / lcs[j]
         if quotients is not None:
-            # The leads strictly decrease, so m is new in quotients[i].
-            quotients[i][m] = c
-        # p -= c * x^m * g
-        for e, gc in g.terms.items():
+            # The leads strictly decrease, so m is new in quotients[j].
+            quotients[j][m] = (b, scale)
+        # p -= b * x^m * g; the lead cancels exactly.
+        for e, gc in forms[j].items():
             key = mul(e, m)
             s = p.get(key)
             if s is None:
-                p[key] = -(c * gc)
+                p[key] = -b * gc
             else:
-                s -= c * gc
+                s -= b * gc
                 if s:
                     p[key] = s
                 else:
                     del p[key]
         guards.check_degree(p)
-    return Polynomial(f.ring, remainder)
+    return {e: c * (scale // at) for e, c, at in aside}, scale
+
+
+def _to_polynomial(ring, r, w):
+    """The Polynomial r / w, for an integer term map r and a non-zero w.
+
+    r is divided by its content first, so that the Fractions are built
+    from the smallest integers; the loop polls the time guard per term.
+    """
+    r, g = _primitive(r)
+    u = g / Fraction(w)
+    num, den = u.numerator, u.denominator
+    check = Guards.current().check_time
+    terms = {}
+    for e, c in r.items():
+        terms[e] = Fraction(c * num, den)
+        check()
+    return Polynomial(ring, terms)
+
+
+def _divide(f, divisors, order, quotients=None):
+    """Remainder of f on division by the listed divisors, as a Polynomial.
+
+    With `quotients`, one dict per divisor, records each cofactor term
+    as a Fraction there.
+    """
+    _same_ring([f, *divisors])
+    nonzero = [(i, g) for i, g in enumerate(divisors) if not g.is_zero()]
+    if not nonzero or f.is_zero():
+        return f
+    lms, forms, lcs = _tables([g for _, g in nonzero], order)
+    P, k = f.integer_form()
+    steps = None if quotients is None else [{} for _ in nonzero]
+    r, scale = _reduce(dict(P), lms, forms, lcs, order.spec, steps)
+    if quotients is not None:
+        for (i, g), step in zip(nonzero, steps):
+            # f = P/k and g = forms[j]/kg, so b/s*x^m*forms[j] is
+            # b*kg/(s*k)*x^m*g.
+            ratio = g.integer_form()[1] / k
+            quotients[i].update({m: Fraction(b, s) * ratio for m, (b, s) in step.items()})
+    return _to_polynomial(f.ring, r, scale * k)
 
 
 def division(f, divisors, order):
@@ -95,26 +157,40 @@ def division(f, divisors, order):
     left to divide.
     """
     quotients = [{} for _ in divisors]
-    remainder = _reduce(f, divisors, order, quotients)
+    remainder = _divide(f, divisors, order, quotients)
     return [Polynomial(f.ring, q) for q in quotients], remainder
 
 
 def normal_form(f, divisors, order):
     """Remainder of f on division by the listed polynomials."""
-    return _reduce(f, divisors, order)
+    return _divide(f, divisors, order)
 
 
-def s_polynomial(f, g, order):
-    """lcm-scaled combination cancelling the two leading terms."""
-    if f.is_zero() or g.is_zero():
-        raise InvalidInput("s-polynomial of the zero polynomial")
-    _same_ring([f, g])
-    lmf, lcf = f.leading_term(order)
-    lmg, lcg = g.leading_term(order)
-    lcm = _kernels.monomial_lcm(lmf, lmg)
-    a = f.mul_monomial(_kernels.monomial_div(lcm, lmf), Fraction(1) / lcf)
-    b = g.mul_monomial(_kernels.monomial_div(lcm, lmg), Fraction(1) / lcg)
-    return a - b
+def _s_polynomial(f, lmf, lcf, g, lmg, lcg, L):
+    """The S-polynomial of two integer term maps, as an integer term map.
+
+    (lcg/d)*x^(L-lmf)*f - (lcf/d)*x^(L-lmg)*g with d = gcd(lcf, lcg)
+    and L the lcm of the leads lmf and lmg: a non-zero multiple of the
+    rational S-polynomial, whose leading terms cancel exactly.
+    """
+    mul = _kernels.monomial_mul
+    d = gcd(lcf, lcg)
+    a, b = lcg // d, lcf // d
+    mf = _kernels.monomial_div(L, lmf)
+    mg = _kernels.monomial_div(L, lmg)
+    s = {mul(e, mf): a * c for e, c in f.items()}
+    for e, c in g.items():
+        key = mul(e, mg)
+        v = s.get(key)
+        if v is None:
+            s[key] = -b * c
+        else:
+            v -= b * c
+            if v:
+                s[key] = v
+            else:
+                del s[key]
+    return s
 
 
 def buchberger(gens, order, use_coprime=True, use_chain=True):
@@ -125,13 +201,20 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
     is made; ties go to the lower index pair (i, j).  The coprime-lead and
     chain criteria can be toggled for the equivalence tests; they never
     change the reduced basis obtained afterwards.
+
+    S-polynomials are formed and reduced over Z, on the primitive integer
+    forms of the elements; only non-zero remainders are turned back into
+    (monic) rational polynomials.
     """
     guards = Guards.current()
     G = [g for g in gens if not g.is_zero()]
     _same_ring(G)
     if not G:
         return []
-    lms = [g.leading_term(order)[0] for g in G]
+    ring = G[0].ring
+    spec = order.spec
+    # Divisor tables, built once and extended with each new element.
+    lms, forms, lcs = _tables(G, order)
     lcm = _kernels.monomial_lcm
     mul = _kernels.monomial_mul
     divides = _kernels.monomial_divides
@@ -167,14 +250,18 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
                         break
             if skip:
                 continue
-        s = s_polynomial(G[i], G[j], order)
-        r = normal_form(s, G, order)
-        if r.is_zero():
+        s = _s_polynomial(forms[i], lms[i], lcs[i], forms[j], lms[j], lcs[j], L)
+        r, _ = _reduce(s, lms, forms, lcs, spec)
+        if not r:
             continue
-        guards.check_degree(r.terms)
-        G.append(r.monic(order))
-        lm = r.leading_term(order)[0]
+        guards.check_degree(r)
+        r, _ = _primitive(r)
+        lm = _kernels.leading_exponent(r.keys(), spec)
+        lc = r[lm]
+        G.append(_to_polynomial(ring, r, lc))
         lms.append(lm)
+        forms.append(r)
+        lcs.append(lc)
         new = len(G) - 1
         for k in range(new):
             L = lcm(lms[k], lm)

@@ -9,10 +9,11 @@ coefficients, so two polynomials are equal iff their term maps are equal.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Tuple
 
 from . import _kernels
-from .errors import GuardExceeded, InvalidInput, VariableClash
+from .errors import GuardExceeded, Guards, InvalidInput, VariableClash
 from .orders import MonomialOrder
 
 # Exponents past this are treated as runaway computations, not real inputs.
@@ -114,7 +115,7 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial.  Arithmetic is exact."""
 
-    __slots__ = ("ring", "terms", "_hash", "_lt")
+    __slots__ = ("ring", "terms", "_hash", "_lt", "_int")
 
     def __init__(self, ring, terms):
         self.ring = ring
@@ -123,6 +124,7 @@ class Polynomial:
         }
         self._hash = None
         self._lt = {}
+        self._int = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -170,6 +172,26 @@ class Polynomial:
             exp = order.leading(self.terms.keys())
             hit = (exp, self.terms[exp])
             self._lt[key] = hit
+        return hit
+
+    def integer_form(self):
+        """(P, k): the primitive integer term map P = k * self, k a Fraction.
+
+        P has integer coefficients with gcd 1 (the zero polynomial gives
+        ({}, 1)).  Cached like the leading terms; Groebner reductions run
+        on P and convert back to rationals only at the end.
+        """
+        hit = self._int
+        if hit is None:
+            check = Guards.current().check_time
+            den = 1
+            for c in self.terms.values():
+                den = lcm(den, c.denominator)
+                check()
+            nums, g = _primitive(
+                {e: c.numerator * (den // c.denominator) for e, c in self.terms.items()}
+            )
+            hit = self._int = (nums, Fraction(den, g))
         return hit
 
     def sorted_terms(self, order=None, reverse=True):
@@ -274,6 +296,8 @@ class Polynomial:
         if self.is_zero():
             return self
         _, lc = self.leading_term(order)
+        if lc == 1:
+            return self
         return self.scale(Fraction(1) / lc)
 
     def _coerce(self, other):
@@ -301,6 +325,24 @@ class Polynomial:
         return poly_to_string(self)
 
     __str__ = __repr__
+
+
+def _primitive(terms):
+    """(terms / g, g) for g > 0 the gcd of an integer term map's coefficients.
+
+    The empty map gives g = 1.  Polls the time guard per gcd step: the
+    coefficients may be huge.
+    """
+    check = Guards.current().check_time
+    g = 0
+    for c in terms.values():
+        g = gcd(g, c)
+        if g == 1:
+            return terms, 1
+        check()
+    if g == 0:
+        return terms, 1
+    return {e: c // g for e, c in terms.items()}, g
 
 
 def poly_to_string(f):

@@ -1,0 +1,61 @@
+"""JSON reports, minus `timings`, pinned to files under tests/golden/.
+
+A change that only makes flatcheck faster must leave every report below
+byte-identical apart from its timings.  Only the problem-file path, which
+depends on where the package is installed, is normalized to the file name.
+
+Regenerate the files (after a deliberate change of output) with
+`PYTHONPATH=src python tests/test_golden_reports.py`.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from flatcheck import problems
+from flatcheck.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+
+CASES = (
+    [("check-flat", name, ()) for name in
+     ("douady", "blowup", "xy-collapse", "free-module", "cusp-second-cover")]
+    + [("check-flat", "douady-no-cover", ("--waive-hypothesis", "cover_smooth"))]
+    + [("check-flat-regular-source", name, ())
+       for name in ("blowup", "xy-collapse", "free-module")]
+    + [(command, name, ()) for command in ("gb", "primdec", "hypotheses")
+       for name in ("douady", "blowup")]
+)
+
+
+def _case_id(case):
+    return f"{case[0]}--{case[1]}"
+
+
+def _report(command, name, extra):
+    """The JSON report of one CLI run, without timings, as stable text."""
+    path = problems.path(name)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main([command, path, "--format", "json", *extra])
+    rep = json.loads(out.getvalue())
+    del rep["timings"]
+    rep["error"] = rep["error"].replace(path, f"{name}.flat")
+    return json.dumps(rep, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_report_matches_golden(case):
+    expected = (GOLDEN / f"{_case_id(case)}.json").read_text(encoding="utf-8")
+    assert _report(*case) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in CASES:
+        (GOLDEN / f"{_case_id(case)}.json").write_text(_report(*case), encoding="utf-8")
+        print(_case_id(case), file=sys.stderr)

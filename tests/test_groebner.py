@@ -5,19 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from flatcheck.errors import GuardExceeded, InvalidInput
+from flatcheck._kernels import monomial_div, monomial_divides, monomial_lcm, monomial_mul
+from flatcheck.errors import GuardExceeded
 from flatcheck.groebner import (
     Guards,
+    _s_polynomial,
     buchberger,
     division,
     groebner_basis,
     normal_form,
     reduce_basis,
-    s_polynomial,
 )
 from flatcheck.ideals import Ideal
 from flatcheck.orders import MonomialOrder
-from flatcheck.rings import PolyRing
+from flatcheck.rings import PolyRing, Polynomial
 
 from conftest import nonzero_random_poly
 
@@ -52,14 +53,33 @@ def test_nf_cofactors_reassemble(qxy):
     assert recon == f
 
 
+def _s_poly(f, g, order):
+    """Buchberger's integer S-polynomial of f and g, as a Polynomial."""
+    (F, _), (H, _) = f.integer_form(), g.integer_form()
+    lmf, lmg = f.leading_term(order)[0], g.leading_term(order)[0]
+    s = _s_polynomial(F, lmf, F[lmf], H, lmg, H[lmg], monomial_lcm(lmf, lmg))
+    return Polynomial(f.ring, {e: Fraction(c) for e, c in s.items()})
+
+
+def _proportional(a, b):
+    """a == c*b for some non-zero rational c."""
+    return a.is_zero() == b.is_zero() and a.monic() == b.monic()
+
+
 def test_s_polynomial_cases(qxy):
     x, y = qxy.gens()
-    assert s_polynomial(x, y, LEX2).is_zero()
-    assert s_polynomial(x * x - y, x * y - 1, LEX2) == -y * y + x
+    assert _s_poly(x, y, LEX2).is_zero()
+    assert _proportional(_s_poly(x * x - y, x * y - 1, LEX2), -y * y + x)
     f = x * x - y
-    assert s_polynomial(f, f, LEX2).is_zero()
-    with pytest.raises(InvalidInput):
-        s_polynomial(qxy.zero(), x, LEX2)
+    assert _s_poly(f, f, LEX2).is_zero()
+    # Fractional and negative leading coefficients: the rational
+    # S-polynomial is -y^2/2 + x/3 in all three cases.
+    g = 3 * x * y - 1
+    expected = Fraction(-1, 2) * y * y + Fraction(1, 3) * x
+    for h in (2 * x * x - y, -2 * x * x + y, Fraction(2, 5) * x * x - Fraction(1, 5) * y):
+        assert _proportional(_s_poly(h, g, LEX2), expected)
+    # The leading coefficients are divided by their gcd first.
+    assert _s_poly(4 * x * x - y, 6 * x * y - 1, LEX2) == 2 * x - 3 * y * y
 
 
 def test_buchberger_sum_difference(qxy):
@@ -145,34 +165,67 @@ def test_nested_guards_restore_the_outer_ones():
     assert Guards.current() == Guards()
 
 
+def _cyclic(n):
+    ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+    v = ring.gens()
+    gens = []
+    for k in range(1, n):
+        s = ring.zero()
+        for i in range(n):
+            t = ring.one()
+            for j in range(k):
+                t = t * v[(i + j) % n]
+            s = s + t
+        gens.append(s)
+    prod = ring.one()
+    for x in v:
+        prod = prod * x
+    return gens + [prod - 1], MonomialOrder.degrevlex(n)
+
+
+def _katsura(n, order):
+    ring = PolyRing(tuple(f"x{i}" for i in range(n + 1)))
+    v = ring.gens()
+
+    def u(i):
+        return v[abs(i)] if abs(i) <= n else ring.zero()
+
+    gens = []
+    for m in range(n):
+        s = ring.zero()
+        for l in range(-n, n + 1):
+            s = s + u(l) * u(m - l)
+        gens.append(s - u(m))
+    s = ring.zero()
+    for l in range(-n, n + 1):
+        s = s + u(l)
+    return gens + [s - 1], order
+
+
 def _cyclic4():
-    ring = PolyRing(("x0", "x1", "x2", "x3"))
-    a, b, c, d = ring.gens()
-    gens = [
-        a + b + c + d,
-        a * b + b * c + c * d + d * a,
-        a * b * c + b * c * d + c * d * a + d * a * b,
-        a * b * c * d - 1,
-    ]
-    return gens, MonomialOrder.degrevlex(4)
+    return _cyclic(4)
 
 
 def _katsura3():
-    ring = PolyRing(("x0", "x1", "x2", "x3"))
-    a, b, c, d = ring.gens()
-    gens = [
-        a**2 + 2 * b**2 + 2 * c**2 + 2 * d**2 - a,
-        2 * a * b + 2 * b * c + 2 * c * d - b,
-        2 * a * c + 2 * b * d + b**2 - c,
-        a + 2 * b + 2 * c + 2 * d - 1,
-    ]
-    return gens, MonomialOrder.lex(4)
+    return _katsura(3, MonomialOrder.lex(4))
+
+
+def _cyclic5():
+    return _cyclic(5)
+
+
+def _katsura4():
+    return _katsura(4, MonomialOrder.degrevlex(5))
+
+
+SYSTEMS = [_cyclic4, _katsura3, _cyclic5, _katsura4]
+SYSTEM_IDS = ["cyclic-4-degrevlex", "katsura-3-lex", "cyclic-5-degrevlex", "katsura-4-degrevlex"]
 
 
 @pytest.mark.parametrize(
     "system, pairs, size",
-    [(_cyclic4, 45, 10), (_katsura3, 153, 18)],
-    ids=["cyclic-4-degrevlex", "katsura-3-lex"],
+    [(_cyclic4, 45, 10), (_katsura3, 153, 18), (_cyclic5, 1035, 46), (_katsura4, 105, 15)],
+    ids=SYSTEM_IDS,
 )
 def test_pair_selection_order_is_pinned(system, pairs, size):
     """The normal strategy completes after exactly these many pairs.
@@ -198,6 +251,14 @@ def test_pair_ties_go_to_the_lower_index():
         (0, 2, 0, 0), (0, 1, 2, 0), (0, 1, 1, 2),
         (0, 1, 0, 4), (0, 0, 3, 2), (0, 0, 2, 4),
     ]
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
+def test_buchberger_appends_monic_elements(system):
+    gens, order = system()
+    G = buchberger(gens, order)
+    assert G[: len(gens)] == gens
+    assert all(g.leading_term(order)[1] == 1 for g in G[len(gens):])
 
 
 # -- the >= 200-instance property suite ------------------------------------------
@@ -236,16 +297,12 @@ def test_nf_cofactor_soundness(case):
         recon = recon + c * g
     assert recon == f
     lms = [g.leading_term(order)[0] for g in gens]
-    from flatcheck._kernels import monomial_divides
-
     for m in rem.terms:
         assert not any(monomial_divides(lm, m) for lm in lms)
 
 
 def test_property_suite_full():
     """Reduced-basis uniqueness + criteria toggles across all 200 instances."""
-    from flatcheck._kernels import monomial_divides
-
     for ring, gens, order, sub in SUITE:
         rng = random.Random(sub)
         reference = groebner_basis(gens, order)
@@ -278,6 +335,58 @@ def test_property_suite_full():
         gb_of_gens = Ideal(ring, gens)
         for b in basis:
             assert gb_of_gens.contains(b)
+
+
+def _reference_division(f, divisors, order):
+    """Textbook division over Q in listed order: (cofactors, remainder)."""
+    p, remainder = dict(f.terms), {}
+    quotients = [{} for _ in divisors]
+    while p:
+        lead = order.leading(p.keys())
+        for i, g in enumerate(divisors):
+            if not g.is_zero() and monomial_divides(g.leading_term(order)[0], lead):
+                break
+        else:
+            remainder[lead] = p.pop(lead)
+            continue
+        lm, lc = g.leading_term(order)
+        m = monomial_div(lead, lm)
+        q = quotients[i][m] = p[lead] / lc
+        for e, c in g.terms.items():
+            key = monomial_mul(e, m)
+            v = p.get(key, 0) - q * c
+            if v:
+                p[key] = v
+            else:
+                del p[key]
+    return [Polynomial(f.ring, q) for q in quotients], Polynomial(f.ring, remainder)
+
+
+def _rescale_terms(f, rng):
+    """f with each term multiplied by its own random rational +-p/q."""
+    return Polynomial(f.ring, {
+        e: c * Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
+        for e, c in f.terms.items()
+    })
+
+
+def test_fractional_coefficients_match_the_rational_reference():
+    """Fraction-free division agrees with plain division over Q.
+
+    The suite's generators and probes have integer coefficients; here every
+    term is rescaled by a random +-p/q, so denominators must be cleared
+    and leading coefficients are often negative.
+    """
+    negative_leads = 0
+    for ring, gens, order, sub in SUITE:
+        rng = random.Random(sub + 1)
+        divisors = [_rescale_terms(g, rng) for g in gens]
+        f = _rescale_terms(nonzero_random_poly(ring, rng, max_terms=4, max_deg=4), rng)
+        negative_leads += sum(g.leading_term(order)[1] < 0 for g in divisors)
+        cofs, rem = division(f, divisors, order)
+        assert (cofs, rem) == _reference_division(f, divisors, order)
+        assert normal_form(f, divisors, order) == rem
+    assert negative_leads > 50
 
 
 def test_nf_zero_iff_member_bruteforce():
