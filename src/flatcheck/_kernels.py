@@ -5,6 +5,12 @@ variable.  An order spec is a tuple of blocks; each block is a pair
 ``(kind, indices)`` with ``kind`` in ``{"lex", "degrevlex"}`` and
 ``indices`` the variable positions the block compares.  Blocks are
 compared left to right.
+
+The Groebner core does not use these kernels on its terms: it works on
+packed monomial keys (`orders.MonomialOrder.pack`), where a product is one
+int addition and a divisibility test one mask test.  The kernels serve the
+exponent-tuple paths around it: polynomial arithmetic in `rings`, leading
+terms, and the lcm of each new Buchberger pair.
 """
 
 IMPLEMENTATION = "pure"

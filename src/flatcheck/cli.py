@@ -144,7 +144,7 @@ def _run_one(command, path, args):
             error=str(exc),
         )
         return report, 3
-    except (FlatcheckError, OSError) as exc:
+    except (FlatcheckError, OSError, UnicodeDecodeError) as exc:
         report = Report(
             command=command,
             status="error",

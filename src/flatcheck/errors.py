@@ -66,11 +66,9 @@ class Guards:
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise GuardExceeded("time")
 
-    def check_degree(self, exponents):
-        """Trip if any of the exponent vectors exceeds the degree cap."""
-        if self.max_degree is not None and any(
-            sum(e) > self.max_degree for e in exponents
-        ):
+    def check_degree(self, degrees):
+        """Trip if any of the total degrees exceeds the degree cap."""
+        if self.max_degree is not None and max(degrees, default=0) > self.max_degree:
             raise GuardExceeded("degree")
 
     def check_pairs(self, count):

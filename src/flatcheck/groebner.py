@@ -9,7 +9,8 @@ from math import gcd
 from typing import Tuple
 
 from . import _kernels
-from .errors import Guards, VariableClash
+from .errors import GuardExceeded, Guards, VariableClash
+from .orders import DEGREE_LIMIT, DEGREE_MASK
 from .rings import Polynomial, _primitive
 
 
@@ -33,52 +34,41 @@ def _same_ring(polys):
     return rings.pop() if rings else None
 
 
-def _tables(polys, order):
-    """Leads, primitive integer forms and their leading coefficients."""
-    lms, forms, lcs = [], [], []
-    for g in polys:
-        lm = g.leading_term(order)[0]
-        form = g.integer_form()[0]
-        lms.append(lm)
-        forms.append(form)
-        lcs.append(form[lm])
-    return lms, forms, lcs
+def _reduce(p, table, leads, guard, quotients=None):
+    """Fraction-free remainder of the packed integer term map p (consumed).
 
-
-def _reduce(p, lms, forms, lcs, spec, quotients=None):
-    """Fraction-free remainder of the integer term map p (consumed).
-
-    Divisor j is the integer term map forms[j], with leading monomial
-    lms[j] and leading coefficient lcs[j]; the first one whose lead
-    divides the lead of p is used.  A step cancels that lead by
-    p <- a*p - b*x^m*forms[j], with a = lcs[j]/d > 0, b = coeff/d and
-    d = +-gcd(coeff, lcs[j]), and multiplies the running scale by a.
-    Returns (r, scale): an integer term map r, none of whose monomials a
-    lead divides, with scale*p == r modulo the divisors.  With a list
-    `quotients` (one dict per divisor), a step also records (b, scale)
-    under m in quotients[j]: the cofactor term b/scale*x^m.  Every step
-    polls the active guards for time and for the degree of what is left
-    to divide.
+    Divisor j is table[j] = (form, lead, lc, degree) as returned by
+    Polynomial.packed_form, and leads[j] is its lead; the first divisor
+    whose lead divides the lead of p (the mask test with the order's
+    `guard`) is used.  A step cancels that lead by p <- a*p - b*x^m*form,
+    with a = lc/d > 0, b = coeff/d and d = +-gcd(coeff, lc), and
+    multiplies the running scale by a.  Returns (r, scale): a packed
+    integer term map r, none of whose monomials a lead divides, with
+    scale*p == r modulo the divisors.  With a list `quotients` (one dict
+    per divisor), a step also records (b, scale) under the packed m in
+    quotients[j]: the cofactor term b/scale*x^m.  Every step polls the
+    active guards for time and for the degree of what is left to divide.
     """
     # Remainder terms with the scale at the step that set them aside;
     # scaling them up to the final scale once, at the end, costs one
     # product per term instead of one per term and step.
     aside = []
     scale = 1
-    find = _kernels.find_divisor
-    div = _kernels.monomial_div
-    mul = _kernels.monomial_mul
-    leading = _kernels.leading_exponent
     guards = Guards.current()
     while p:
         guards.check_time()
-        lead = leading(p.keys(), spec)
-        j = find(lead, lms)
-        if j < 0:
+        lead = max(p)
+        for j, divisor in enumerate(leads):
+            m = lead - divisor
+            if not m & guard:
+                break
+        else:
             aside.append((lead, p.pop(lead), scale))
             continue
+        form, _, lc, degree = table[j]
+        if (m & DEGREE_MASK) + degree >= DEGREE_LIMIT:
+            raise GuardExceeded("exponent", "total degree too large to pack")
         coeff = p[lead]
-        lc = lcs[j]
         d = gcd(coeff, lc)
         if lc < 0:
             d = -d
@@ -87,13 +77,12 @@ def _reduce(p, lms, forms, lcs, spec, quotients=None):
         if a != 1:
             p = {e: a * c for e, c in p.items()}
             scale *= a
-        m = div(lead, lms[j])
         if quotients is not None:
             # The leads strictly decrease, so m is new in quotients[j].
             quotients[j][m] = (b, scale)
-        # p -= b * x^m * g; the lead cancels exactly.
-        for e, gc in forms[j].items():
-            key = mul(e, m)
+        # p -= b * x^m * form; the lead cancels exactly.
+        for e, gc in form.items():
+            key = e + m
             s = p.get(key)
             if s is None:
                 p[key] = -b * gc
@@ -103,12 +92,12 @@ def _reduce(p, lms, forms, lcs, spec, quotients=None):
                     p[key] = s
                 else:
                     del p[key]
-        guards.check_degree(p)
+        guards.check_degree(k & DEGREE_MASK for k in p)
     return {e: c * (scale // at) for e, c, at in aside}, scale
 
 
-def _to_polynomial(ring, r, w):
-    """The Polynomial r / w, for an integer term map r and a non-zero w.
+def _to_polynomial(ring, r, w, order):
+    """The Polynomial r / w, for a packed integer term map r and a non-zero w.
 
     r is divided by its content first, so that the Fractions are built
     from the smallest integers; the loop polls the time guard per term.
@@ -117,9 +106,10 @@ def _to_polynomial(ring, r, w):
     u = g / Fraction(w)
     num, den = u.numerator, u.denominator
     check = Guards.current().check_time
+    unpack = order.unpack
     terms = {}
     for e, c in r.items():
-        terms[e] = Fraction(c * num, den)
+        terms[unpack(e)] = Fraction(c * num, den)
         check()
     return Polynomial(ring, terms)
 
@@ -134,17 +124,21 @@ def _divide(f, divisors, order, quotients=None):
     nonzero = [(i, g) for i, g in enumerate(divisors) if not g.is_zero()]
     if not nonzero or f.is_zero():
         return f
-    lms, forms, lcs = _tables([g for _, g in nonzero], order)
-    P, k = f.integer_form()
+    table = [g.packed_form(order) for _, g in nonzero]
     steps = None if quotients is None else [{} for _ in nonzero]
-    r, scale = _reduce(dict(P), lms, forms, lcs, order.spec, steps)
+    r, scale = _reduce(
+        dict(f.packed_form(order)[0]), table, [t[1] for t in table], order.guard, steps
+    )
+    k = f.integer_form()[1]
     if quotients is not None:
+        unpack = order.unpack
         for (i, g), step in zip(nonzero, steps):
-            # f = P/k and g = forms[j]/kg, so b/s*x^m*forms[j] is
-            # b*kg/(s*k)*x^m*g.
+            # f = P/k and g = form/kg, so b/s*x^m*form is b*kg/(s*k)*x^m*g.
             ratio = g.integer_form()[1] / k
-            quotients[i].update({m: Fraction(b, s) * ratio for m, (b, s) in step.items()})
-    return _to_polynomial(f.ring, r, scale * k)
+            quotients[i].update(
+                {unpack(m): Fraction(b, s) * ratio for m, (b, s) in step.items()}
+            )
+    return _to_polynomial(f.ring, r, scale * k, order)
 
 
 def division(f, divisors, order):
@@ -166,21 +160,26 @@ def normal_form(f, divisors, order):
     return _divide(f, divisors, order)
 
 
-def _s_polynomial(f, lmf, lcf, g, lmg, lcg, L):
-    """The S-polynomial of two integer term maps, as an integer term map.
+def _s_polynomial(f, g, L):
+    """The S-polynomial of two packed integer forms, as a packed term map.
 
-    (lcg/d)*x^(L-lmf)*f - (lcf/d)*x^(L-lmg)*g with d = gcd(lcf, lcg)
-    and L the lcm of the leads lmf and lmg: a non-zero multiple of the
-    rational S-polynomial, whose leading terms cancel exactly.
+    f and g are (form, lead, lc, degree) entries as returned by
+    Polynomial.packed_form, and L is the packed lcm of their leads.  The
+    result is (lc_g/d)*x^(L-lead_f)*form_f - (lc_f/d)*x^(L-lead_g)*form_g
+    with d = gcd(lc_f, lc_g): a non-zero multiple of the rational
+    S-polynomial, whose leading terms cancel exactly.
     """
-    mul = _kernels.monomial_mul
-    d = gcd(lcf, lcg)
-    a, b = lcg // d, lcf // d
-    mf = _kernels.monomial_div(L, lmf)
-    mg = _kernels.monomial_div(L, lmg)
-    s = {mul(e, mf): a * c for e, c in f.items()}
-    for e, c in g.items():
-        key = mul(e, mg)
+    form_f, lead_f, lc_f, degree_f = f
+    form_g, lead_g, lc_g, degree_g = g
+    mf = L - lead_f
+    mg = L - lead_g
+    if max((mf & DEGREE_MASK) + degree_f, (mg & DEGREE_MASK) + degree_g) >= DEGREE_LIMIT:
+        raise GuardExceeded("exponent", "total degree too large to pack")
+    d = gcd(lc_f, lc_g)
+    a, b = lc_g // d, lc_f // d
+    s = {e + mf: a * c for e, c in form_f.items()}
+    for e, c in form_g.items():
+        key = e + mg
         v = s.get(key)
         if v is None:
             s[key] = -b * c
@@ -203,8 +202,8 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
     change the reduced basis obtained afterwards.
 
     S-polynomials are formed and reduced over Z, on the primitive integer
-    forms of the elements; only non-zero remainders are turned back into
-    (monic) rational polynomials.
+    forms of the elements keyed by packed monomials; only non-zero
+    remainders are turned back into (monic) rational polynomials.
     """
     guards = Guards.current()
     G = [g for g in gens if not g.is_zero()]
@@ -212,19 +211,20 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
     if not G:
         return []
     ring = G[0].ring
-    spec = order.spec
-    # Divisor tables, built once and extended with each new element.
-    lms, forms, lcs = _tables(G, order)
+    pack, unpack, guard = order.pack, order.unpack, order.guard
+    # Divisor table and packed leads, extended with each new element; the
+    # leads as exponent tuples serve only to form the lcm of a new pair.
+    table = [g.packed_form(order) for g in G]
+    leads = [t[1] for t in table]
+    exponents = [unpack(lead) for lead in leads]
     lcm = _kernels.monomial_lcm
-    mul = _kernels.monomial_mul
-    divides = _kernels.monomial_divides
-    # Entries (lcm total degree, i, j, lcm): (i, j) is unique, so the
-    # heap order is a total order and the lcms are never compared.
+    # Entries (lcm total degree, i, j, packed lcm): (i, j) is unique, so
+    # the heap order is a total order and the lcms are never compared.
     pairs = []
     for j in range(1, len(G)):
         for i in range(j):
-            L = lcm(lms[i], lms[j])
-            pairs.append((sum(L), i, j, L))
+            L = pack(lcm(exponents[i], exponents[j]))
+            pairs.append((L & DEGREE_MASK, i, j, L))
     heapq.heapify(pairs)
     done = set()
     processed = 0
@@ -235,63 +235,65 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
         done.add((i, j))
         processed += 1
         guards.check_pairs(processed)
-        if use_coprime and L == mul(lms[i], lms[j]):
+        if use_coprime and L == leads[i] + leads[j]:
             continue
         if use_chain:
             skip = False
-            for k in range(len(G)):
-                if k == i or k == j:
+            for k, lead in enumerate(leads):
+                if k == i or k == j or (L - lead) & guard:
                     continue
-                if divides(lms[k], L):
-                    a = (min(i, k), max(i, k))
-                    b = (min(j, k), max(j, k))
-                    if a in done and b in done:
-                        skip = True
-                        break
+                a = (min(i, k), max(i, k))
+                b = (min(j, k), max(j, k))
+                if a in done and b in done:
+                    skip = True
+                    break
             if skip:
                 continue
-        s = _s_polynomial(forms[i], lms[i], lcs[i], forms[j], lms[j], lcs[j], L)
-        r, _ = _reduce(s, lms, forms, lcs, spec)
+        s = _s_polynomial(table[i], table[j], L)
+        r, _ = _reduce(s, table, leads, guard)
         if not r:
             continue
-        guards.check_degree(r)
+        guards.check_degree(k & DEGREE_MASK for k in r)
         r, _ = _primitive(r)
-        lm = _kernels.leading_exponent(r.keys(), spec)
-        lc = r[lm]
-        G.append(_to_polynomial(ring, r, lc))
-        lms.append(lm)
-        forms.append(r)
-        lcs.append(lc)
+        lead = max(r)
+        lc = r[lead]
+        G.append(_to_polynomial(ring, r, lc, order))
+        table.append((r, lead, lc, max(k & DEGREE_MASK for k in r)))
+        leads.append(lead)
+        exponent = unpack(lead)
+        exponents.append(exponent)
         new = len(G) - 1
         for k in range(new):
-            L = lcm(lms[k], lm)
-            heapq.heappush(pairs, (sum(L), k, new, L))
+            L = pack(lcm(exponents[k], exponent))
+            heapq.heappush(pairs, (L & DEGREE_MASK, k, new, L))
     return G
 
 
 def reduce_basis(G, order):
     """Unique reduced basis: monic, auto-reduced, sorted by leading monomial."""
-    polys = [g.monic(order) for g in G if not g.is_zero()]
+    polys = [g for g in G if not g.is_zero()]
     if not polys:
         return GroebnerBasis((), order, reduced=True)
-    divides = _kernels.monomial_divides
+    ring = _same_ring(polys)
+    guard = order.guard
     # Minimalize: drop generators whose lead is divisible by another lead.
-    polys.sort(key=lambda f: order.key(f.leading_term(order)[0]))
-    minimal = []
-    for f in polys:
-        lm = f.leading_term(order)[0]
-        if any(divides(g.leading_term(order)[0], lm) for g in minimal):
+    # The sort is stable, so of equal leads the first listed one stays.
+    table = []
+    for entry in sorted((g.packed_form(order) for g in polys), key=lambda t: t[1]):
+        if any(not (entry[1] - kept[1]) & guard for kept in table):
             continue
-        minimal.append(f)
-    # Fully reduce each against the others.
+        table.append(entry)
+    # Fully reduce each against the others.  The reduced element is the
+    # monic remainder, whatever scale the integer forms carry.
     reduced = []
-    for i, f in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(f, others, order)
-        if not r.is_zero():
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda f: order.key(f.leading_term(order)[0]), reverse=True)
-    return GroebnerBasis(tuple(reduced), order, reduced=True)
+    for i, (form, _, _, _) in enumerate(table):
+        others = table[:i] + table[i + 1:]
+        r, _ = _reduce(dict(form), others, [t[1] for t in others], guard)
+        if r:
+            lead = max(r)
+            reduced.append((lead, _to_polynomial(ring, r, r[lead], order)))
+    reduced.sort(key=lambda t: t[0], reverse=True)
+    return GroebnerBasis(tuple(f for _, f in reduced), order, reduced=True)
 
 
 def groebner_basis(gens, order, use_coprime=True, use_chain=True):

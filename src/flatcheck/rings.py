@@ -4,6 +4,10 @@ A monomial is an exponent tuple (one non-negative int per ring variable);
 a polynomial is an immutable map from exponent tuples to nonzero Fraction
 coefficients, tagged with its ambient ring.  Canonical form stores no zero
 coefficients, so two polynomials are equal iff their term maps are equal.
+
+The Groebner core works on another view of the same polynomial, cached
+per order by `Polynomial.packed_form`: a primitive integer term map keyed
+by the order's packed monomials (see `orders`), one int per monomial.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Dict, Tuple
 
 from . import _kernels
 from .errors import GuardExceeded, Guards, InvalidInput, VariableClash
-from .orders import MonomialOrder
+from .orders import DEGREE_LIMIT, MonomialOrder
 
 # Exponents past this are treated as runaway computations, not real inputs.
 EXPONENT_LIMIT = 2**20
@@ -115,7 +119,7 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial.  Arithmetic is exact."""
 
-    __slots__ = ("ring", "terms", "_hash", "_lt", "_int")
+    __slots__ = ("ring", "terms", "_hash", "_lt", "_int", "_packed")
 
     def __init__(self, ring, terms):
         self.ring = ring
@@ -125,6 +129,7 @@ class Polynomial:
         self._hash = None
         self._lt = {}
         self._int = None
+        self._packed = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -192,6 +197,31 @@ class Polynomial:
                 {e: c.numerator * (den // c.denominator) for e, c in self.terms.items()}
             )
             hit = self._int = (nums, Fraction(den, g))
+        return hit
+
+    def packed_form(self, order=None):
+        """(P, lead, lc, degree): integer_form's term map on packed keys.
+
+        P maps the order's packed monomials to the integer coefficients of
+        integer_form; lead is P's largest key, lc its coefficient and
+        degree the largest total degree of a term.  Cached per order like
+        the leading terms.  Raises GuardExceeded("exponent") if a total
+        degree reaches orders.DEGREE_LIMIT, where packing would overflow.
+        """
+        if self.is_zero():
+            raise InvalidInput("zero polynomial has no leading term")
+        order = order or self.ring.default_order
+        key = order.descriptor
+        hit = self._packed.get(key)
+        if hit is None:
+            nums = self.integer_form()[0]
+            degree = max(map(sum, nums))
+            if degree >= DEGREE_LIMIT:
+                raise GuardExceeded("exponent", "total degree too large to pack")
+            pack = order.pack
+            form = {pack(e): c for e, c in nums.items()}
+            lead = max(form)
+            hit = self._packed[key] = (form, lead, form[lead], degree)
         return hit
 
     def sorted_terms(self, order=None, reverse=True):

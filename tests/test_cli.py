@@ -170,6 +170,22 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert "line 1" in rep["error"]
 
 
+def test_undecodable_file_is_an_input_error(tmp_path, capsys):
+    # Not UTF-8: reported as an error, and the next file still runs.
+    bad = tmp_path / "bad.flat"
+    bad.write_bytes(b"ring R = Q[y1, y2];\n# \xff\xfe\n")
+    good = problems.path("xy-collapse")
+    code, out = run_cli(["check-flat", str(bad), good, "--format", "json"], capsys)
+    assert code == 2
+    first, second = out.split(f"== {good}\n")
+    bad_rep = json.loads(first.split("\n", 1)[1])
+    assert bad_rep["status"] == "error"
+    assert str(bad) in bad_rep["error"]
+    good_rep = json.loads(second)
+    assert good_rep["status"] == "ok"
+    assert good_rep["verdict"] == "NON_FLAT"
+
+
 def test_missing_file_exit_2(capsys):
     code, rep = run_json(["check-flat", "/nonexistent.flat"], capsys)
     assert code == 2

@@ -29,11 +29,20 @@ CASES = (
        for name in ("blowup", "xy-collapse", "free-module")]
     + [(command, name, ()) for command in ("gb", "primdec", "hypotheses")
        for name in ("douady", "blowup")]
+    # Lex and block orders: the elimination orders behind contract and
+    # eliminate, and a lex basis.
+    + [(command, name, extra) for command, extra in
+       (("gb", ("--order", "lex")), ("contract", ()))
+       for name in ("douady", "blowup")]
+    + [("eliminate", "douady", ("--vars", "y1"))]
 )
 
 
 def _case_id(case):
-    return f"{case[0]}--{case[1]}"
+    """`command--name`, plus `-value` for an --order or --vars option."""
+    command, name, extra = case
+    tags = [v for k, v in zip(extra[::2], extra[1::2]) if k in ("--order", "--vars")]
+    return f"{command}--{name}" + "".join("-" + t for t in tags)
 
 
 def _report(command, name, extra):

@@ -55,10 +55,10 @@ def test_nf_cofactors_reassemble(qxy):
 
 def _s_poly(f, g, order):
     """Buchberger's integer S-polynomial of f and g, as a Polynomial."""
-    (F, _), (H, _) = f.integer_form(), g.integer_form()
     lmf, lmg = f.leading_term(order)[0], g.leading_term(order)[0]
-    s = _s_polynomial(F, lmf, F[lmf], H, lmg, H[lmg], monomial_lcm(lmf, lmg))
-    return Polynomial(f.ring, {e: Fraction(c) for e, c in s.items()})
+    L = order.pack(monomial_lcm(lmf, lmg))
+    s = _s_polynomial(f.packed_form(order), g.packed_form(order), L)
+    return Polynomial(f.ring, {order.unpack(e): Fraction(c) for e, c in s.items()})
 
 
 def _proportional(a, b):
@@ -140,6 +140,24 @@ def test_guards_trip():
     with pytest.raises(GuardExceeded) as exc, Guards(timeout=0.0):
         groebner_basis(gens, ring.default_order)
     assert exc.value.guard == "time"
+
+
+def test_degrees_past_the_packing_limit_trip_the_exponent_guard(qxy):
+    x, y = qxy.gens()
+    # An input of total degree 2^31 cannot be packed, even where no
+    # reduction step would touch it.
+    big = qxy.monomial((1, 2**31 - 1))
+    with pytest.raises(GuardExceeded) as exc:
+        normal_form(big, [x * x - 1], LEX2)
+    assert exc.value.guard == "exponent"
+    # Inputs below it, whose reduction step or S-polynomial would reach it.
+    with pytest.raises(GuardExceeded) as exc:
+        normal_form(qxy.monomial((2**31 - 1, 0)), [x - y * y], LEX2)
+    assert exc.value.guard == "exponent"
+    f = qxy.monomial((2**31 - 2, 1)) + 1
+    with pytest.raises(GuardExceeded) as exc:
+        buchberger([f, x * y * y + 1], LEX2)
+    assert exc.value.guard == "exponent"
 
 
 def test_tripped_block_leaves_no_guards_behind():

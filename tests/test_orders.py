@@ -2,7 +2,7 @@
 
 import random
 
-from flatcheck._kernels import monomial_mul
+from flatcheck._kernels import monomial_divides, monomial_mul
 from flatcheck.orders import MonomialOrder
 
 
@@ -77,3 +77,57 @@ def test_descriptor_distinguishes_orders():
         MonomialOrder.elimination([0], 3).descriptor
         != MonomialOrder.elimination([1], 3).descriptor
     )
+
+
+# -- packed keys ------------------------------------------------------------------
+
+PACKED_ORDERS = [
+    MonomialOrder.lex(4),
+    MonomialOrder.degrevlex(4),
+    MonomialOrder.block([("lex", (2,)), ("degrevlex", (3, 0)), ("lex", (1,))], 4),
+    MonomialOrder.elimination([1, 3], 4),
+    MonomialOrder.elimination([0], 4, kind="lex"),
+]
+
+
+def _vectors(seed, count=300):
+    """Exponent vectors with many zeros and repeats, so ties occur, and
+    some entries of 2^27, so that fields run far past small values; sums,
+    and sums of two, stay below the packing limit."""
+    rng = random.Random(seed)
+    values = (0, 0, 0, 1, 2, 3, 2**27)
+    return [tuple(rng.choice(values) for _ in range(4)) for _ in range(count)]
+
+
+def _pairs(seed):
+    vectors = _vectors(seed)
+    rng = random.Random(seed + 1)
+    return [(a, rng.choice(vectors if rng.random() < 0.9 else [a])) for a in vectors]
+
+
+def test_pack_round_trips_and_multiplies():
+    for order in PACKED_ORDERS:
+        for a, b in _pairs(11):
+            assert order.unpack(order.pack(a)) == a
+            assert order.pack(a) + order.pack(b) == order.pack(monomial_mul(a, b))
+
+
+def test_packed_keys_compare_like_the_order():
+    ties = 0
+    for order in PACKED_ORDERS:
+        for a, b in _pairs(13):
+            diff = order.pack(a) - order.pack(b)
+            assert (diff > 0) - (diff < 0) == order.compare(a, b)
+            ties += a == b
+    assert ties > 0
+
+
+def test_mask_test_agrees_with_divisibility():
+    divisible = 0
+    for order in PACKED_ORDERS:
+        for a, b in _pairs(17):
+            for x, y in ((a, b), (b, a), (a, monomial_mul(a, b))):
+                expected = monomial_divides(x, y)
+                assert (not (order.pack(y) - order.pack(x)) & order.guard) == expected
+                divisible += expected
+    assert divisible > 0
