@@ -179,7 +179,6 @@ class _Parser:
         gens, radical = self._relations(variables)
         self.expect(";")
         if radical:
-            tok = self.peek()
             raise ParseError(
                 "radical(...) is only allowed in module declarations",
                 kw.line,
@@ -349,10 +348,9 @@ class _Parser:
                 expected=("number", "variable", "("),
             )
         if self.peek().text == "^":
-            caret = self.advance()
+            self.advance()
             exp = self.expect(kind="number")
             base = base ** int(exp.text)
-            _ = caret
         return base
 
 

@@ -111,12 +111,6 @@ def _to_int(a):
 # -- arithmetic mod p ----------------------------------------------------------
 
 
-def _trim_p(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _mul_p(a, b, p):
     if not a or not b:
         return []
@@ -125,12 +119,13 @@ def _mul_p(a, b, p):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    return _trim_p(out)
+    return _trim(out)
 
 
 def _divmod_p(a, b, p):
+    """Division mod p, which need not be prime; lc(b) must be a unit mod p."""
     a = [x % p for x in a]
-    _trim_p(a)
+    _trim(a)
     q = [0] * max(0, len(a) - len(b) + 1)
     inv = pow(b[-1], -1, p)
     while len(a) >= len(b):
@@ -139,15 +134,15 @@ def _divmod_p(a, b, p):
         q[k] = c
         for i, y in enumerate(b):
             a[i + k] = (a[i + k] - c * y) % p
-        _trim_p(a)
-    return _trim_p(q), a
+        _trim(a)
+    return _trim(q), a
 
 
 def _gcd_p(a, b, p):
     a = [x % p for x in a]
     b = [x % p for x in b]
-    _trim_p(a)
-    _trim_p(b)
+    _trim(a)
+    _trim(b)
     while b:
         _, r = _divmod_p(a, b, p)
         a, b = b, r
@@ -223,30 +218,31 @@ def _factor_mod_p(f, p, rng):
 
 
 def _hensel_pair(f, g, h, p, k):
-    """Lift f = g*h (mod p) to mod p^k; g, h monic... g monic, lc(h) free.
+    """Lift f = g*h (mod p) to mod p^k; h is monic, g carries lc(f).
 
-    Standard quadratic lifting.  Requires gcd(g, h) = 1 mod p.
+    Quadratic lifting (von zur Gathen-Gerhard, Algorithm 15.10); g and h
+    must be coprime mod p.  Each step starts from f = g*h and
+    s*g + t*h = 1 modulo q, with h monic of its original degree, and ends
+    with the same modulo q2 = min(q^2, p^k).
     """
-    # Bezout: s*g + t*h = 1 mod p
     s, t = _bezout_p(g, h, p)
     guards = Guards.current()
     q = p
     while q < p**k:
         guards.check_time()
         q2 = min(q * q, p**k)
-        # e = f - g*h mod q2
+        # With e = f - g*h and s*e = qq*h + r, the pair (g + t*e + qq*g,
+        # h + r) has product f modulo q2; deg r < deg h keeps h monic.
         e = _mod_list(_add(f, _neg(_mul(g, h))), q2)
-        # g' = g + t*e mod g? standard: delta_h = s*e mod h ... with g monic:
-        # correction: h += (s*e rem h)?? We follow von zur Gathen Alg 15.10 shape.
         se = _mul(s, e)
-        qq, r = _divmod_zq(se, h, q2)
+        qq, r = _divmod_p(se, h, q2)
         h_new = _mod_list(_add(h, r), q2)
         g_new = _mod_list(_add(g, _add(_mul(t, e), _mul(qq, g))), q2)
         g, h = _trim(g_new), _trim(h_new)
-        # refresh Bezout to mod q2
+        # Lift the Bezout pair the same way, with b = 1 - (s*g + t*h).
         b = _mod_list(_add([1], _neg(_add(_mul(s, g), _mul(t, h)))), q2)
         sb = _mul(s, b)
-        qq, r = _divmod_zq(sb, h, q2)
+        qq, r = _divmod_p(sb, h, q2)
         s = _mod_list(_add(s, r), q2)
         t = _mod_list(_add(t, _add(_mul(t, b), _mul(qq, g))), q2)
         s, t = _trim(s), _trim(t)
@@ -258,34 +254,18 @@ def _mod_list(a, m):
     return _trim([x % m for x in a])
 
 
-def _divmod_zq(a, b, m):
-    """Division mod m by b with lc(b) invertible mod m."""
-    a = [x % m for x in a]
-    _trim(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    inv = pow(b[-1] % m, -1, m)
-    while len(a) >= len(b):
-        k = len(a) - len(b)
-        c = a[-1] * inv % m
-        q[k] = c
-        for i, y in enumerate(b):
-            a[i + k] = (a[i + k] - c * y) % m
-        _trim(a)
-    return _trim(q), a
-
-
 def _bezout_p(g, h, p):
     """s, t with s*g + t*h = 1 mod p."""
     r0, r1 = [x % p for x in g], [x % p for x in h]
     s0, s1 = [1], []
     t0, t1 = [], [1]
-    _trim_p(r0)
-    _trim_p(r1)
+    _trim(r0)
+    _trim(r1)
     while r1:
         q, r = _divmod_p(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _trim_p([x % p for x in _add(s0, _neg(_mul(q, s1)))])
-        t0, t1 = t1, _trim_p([x % p for x in _add(t0, _neg(_mul(q, t1)))])
+        s0, s1 = s1, _trim([x % p for x in _add(s0, _neg(_mul(q, s1)))])
+        t0, t1 = t1, _trim([x % p for x in _add(t0, _neg(_mul(q, t1)))])
     inv = pow(r0[0], -1, p)
     s = [x * inv % p for x in s0]
     t = [x * inv % p for x in t0]
@@ -447,16 +427,6 @@ def _from_coeffs(ring, var, coeffs):
             exps[i] = e
             terms[tuple(exps)] = Fraction(c)
     return Polynomial(ring, terms)
-
-
-def squarefree_part(f):
-    """f / gcd(f, f') made monic, for univariate f."""
-    var, coeffs = _univariate_data(f)
-    g = _gcd_q(coeffs, _deriv(coeffs))
-    q, r = _divmod_q(coeffs, g)
-    assert not r
-    inv = Fraction(1) / q[-1]
-    return _from_coeffs(f.ring, var, [x * inv for x in q])
 
 
 def squarefree_factorization(f):

@@ -21,6 +21,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import GuardExceeded, HypothesisViolation, InvalidInput, VariableClash
+from .funcfield import derivative_in
 from .ideals import Ideal, contract_to_base, dimension, ideal_sum
 from .primdec import decompose
 from .rings import PolyRing, VarMap
@@ -220,13 +221,11 @@ def torsion_witnesses(J, base, seed=0):
 # -- hypothesis verification -----------------------------------------------------
 
 
-def _jacobian_minor_ideal(L, dep_names, codim):
+def _jacobian_minor_ideal(L, codim):
     """Ideal of codim-size minors of the Jacobian of L's generators."""
     ring = L.ring
     gens = list(L.generators)
     cols = list(ring.variables)
-    from .funcfield import derivative_in
-
     jac = [[derivative_in(g, v) for v in cols] for g in gens]
     minors = []
     if codim == 0:
@@ -314,7 +313,7 @@ def verify_hypotheses(problem, seed=0):
             HypothesisCheck("cover_smooth", "fail", "cover dimension exceeds ring arity")
         )
     else:
-        minors = _jacobian_minor_ideal(cover.L, cover.cover_vars, codim)
+        minors = _jacobian_minor_ideal(cover.L, codim)
         if ideal_sum(minors, cover.L).is_unit():
             checks.append(
                 HypothesisCheck(

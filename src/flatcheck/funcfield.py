@@ -15,7 +15,18 @@ import itertools
 from fractions import Fraction
 
 from .errors import GuardExceeded, Guards, InvalidInput
-from .factor import factor_univariate
+from .factor import (
+    _add,
+    _deriv,
+    _divmod_q,
+    _from_coeffs,
+    _gcd_q,
+    _mul,
+    _neg,
+    _trim,
+    _univariate_data,
+    factor_univariate,
+)
 from .groebner import division
 from .rings import Polynomial, VarMap
 
@@ -59,10 +70,6 @@ def _from_univariate(ring, var, coeffs):
             key = tuple(key)
             terms[key] = terms.get(key, Fraction(0)) + c
     return Polynomial(ring, terms)
-
-
-def degree_in(f, var):
-    return f.degree_in(var)
 
 
 def leading_coefficient_in(f, var):
@@ -194,50 +201,12 @@ def ff_squarefree_decomposition(f, t):
 
 
 def _ff_exact_div(f, g, t):
-    """f / g over Q(U), as a primitive polynomial.  g must divide f over Q(U)."""
-    fp = primitive_part_in(f, t)
-    gp = primitive_part_in(g, t)
-    q, r = ff_divmod(fp, gp, t)
-    if not r.is_zero():
-        raise InvalidInput("division not exact over Q(U)")
-    return primitive_part_in(q, t)
+    """f / g over Q(U), as a primitive polynomial.  g must divide f over Q(U).
 
-
-def ff_divmod(f, g, t):
-    """Division in t over the fraction field Q(U), via pseudo-division.
-
-    Returns (q, r) with lc^k * f = q*g + r for the implicit power k; only
-    the exactness of the division (r == 0) and the direction of q matter
-    to the callers, which re-normalize by primitive parts.
+    By Gauss's lemma pp(g) then divides pp(f) in Q[U][t], so the quotient
+    is an exact division there.
     """
-    if g.is_zero():
-        raise InvalidInput("division by zero")
-    dg = g.degree_in(t)
-    lc_g = leading_coefficient_in(g, t)
-    q = f.ring.zero()
-    r = f
-    v = f.ring.var(t)
-    while not r.is_zero() and r.degree_in(t) >= dg:
-        dr = r.degree_in(t)
-        lc_r = leading_coefficient_in(r, t)
-        q = lc_g * q + lc_r * v ** (dr - dg)
-        r = lc_g * r - lc_r * v ** (dr - dg) * g
-    return q, r
-
-
-def monic_divmod_in_t(f, g, t):
-    """Exact divmod in t when lc_t(g) = 1; stays inside Q[U][t]."""
-    dg = g.degree_in(t)
-    q = f.ring.zero()
-    r = f
-    v = f.ring.var(t)
-    while not r.is_zero() and r.degree_in(t) >= dg:
-        dr = r.degree_in(t)
-        lc_r = leading_coefficient_in(r, t)
-        piece = lc_r * v ** (dr - dg)
-        q = q + piece
-        r = r - piece * g
-    return q, r
+    return exact_divide(primitive_part_in(f, t), primitive_part_in(g, t))
 
 
 # -- factorization over Q(U) -----------------------------------------------------
@@ -313,21 +282,8 @@ def _evaluate_params(f, t, point):
     return coeffs
 
 
-def _univ_poly_from_coeffs(ring, t, coeffs):
-    i = ring.var_index(t)
-    terms = {}
-    for e, c in enumerate(coeffs):
-        if c:
-            exps = [0] * ring.nvars
-            exps[i] = e
-            terms[tuple(exps)] = Fraction(c)
-    return Polynomial(ring, terms)
-
-
 def _good_point(m, t, params):
     """Integer point where the monic m stays squarefree in t."""
-    from .factor import _gcd_q, _deriv
-
     guards = Guards.current()
     for radius in range(0, 12):
         for point in itertools.product(range(-radius, radius + 1), repeat=len(params)):
@@ -345,8 +301,6 @@ def _good_point(m, t, params):
 
 def _bezout_family(gs):
     """s_i with s_i * prod_{j!=i} g_j = 1 mod g_i, as Fraction lists."""
-    from .factor import _divmod_q, _gcd_q, _mul, _add, _neg, _trim
-
     family = []
     for i, g in enumerate(gs):
         prod = [Fraction(1)]
@@ -369,8 +323,6 @@ def _bezout_family(gs):
 
 
 def _mulmod_q(a, b, g):
-    from .factor import _divmod_q, _mul
-
     return _divmod_q(_mul(a, b), g)[1]
 
 
@@ -380,8 +332,6 @@ def ff_factor_squarefree(m, t, params):
     Returns primitive representatives in Q[U][t]; the product equals m up
     to a unit of Q(U).
     """
-    from .factor import _divmod_q
-
     ring = m.ring
     if m.degree_in(t) <= 1:
         return [primitive_part_in(m, t)]
@@ -389,18 +339,17 @@ def ff_factor_squarefree(m, t, params):
     shift = _good_point(monic, t, params)
     shifted = _substitute_params(monic, shift)
     base_coeffs = _evaluate_params(shifted, t, {v: 0 for v in params})
-    base = _univ_poly_from_coeffs(ring, t, base_coeffs)
+    base = _from_coeffs(ring, t, base_coeffs)
     fac = factor_univariate(base)
     gs = []
     for p, mult in fac.factors:
         assert mult == 1
-        _, coeffs = _factor_poly_coeffs(p, t)
-        gs.append(coeffs)
+        gs.append(_univariate_data(p)[1])
     if len(gs) == 1:
         return [primitive_part_in(m, t)]
     sigma = _param_degree(shifted, t) + 1
     bezout = _bezout_family(gs)
-    lifted = [_univ_poly_from_coeffs(ring, t, g) for g in gs]
+    lifted = [_from_coeffs(ring, t, g) for g in gs]
     guards = Guards.current()
     for degree in range(1, sigma + 1):
         guards.check_time()
@@ -427,9 +376,7 @@ def ff_factor_squarefree(m, t, params):
             for idx, g in enumerate(gs):
                 delta = _mulmod_q(bezout[idx], dense, g)
                 if delta:
-                    lifted[idx] = lifted[idx] + u_mono * _univ_poly_from_coeffs(
-                        ring, t, delta
-                    )
+                    lifted[idx] = lifted[idx] + u_mono * _from_coeffs(ring, t, delta)
     # recombination
     factors = []
     remaining = list(range(len(lifted)))
@@ -447,10 +394,10 @@ def ff_factor_squarefree(m, t, params):
             for i in combo:
                 cand = _truncate_param(cand * lifted[i], t, sigma)
             cand = _truncate_param(cand, t, sigma - 1)
-            q, r = monic_divmod_in_t(current, cand, t)
-            if r.is_zero():
+            # cand is monic in t, so this is the true remainder.
+            if _pseudo_remainder(current, cand, t).is_zero():
                 factors.append(cand)
-                current = q
+                current = exact_divide(current, cand)
                 remaining = [i for i in remaining if i not in combo]
                 found = True
                 break
@@ -471,17 +418,6 @@ def ff_factor_squarefree(m, t, params):
             )
         out.append(primitive_part_in(F, t))
     return out
-
-
-def _factor_poly_coeffs(p, t):
-    """Dense Fraction coefficient list of a poly using only t."""
-    i = p.ring.var_index(t)
-    coeffs = [Fraction(0)] * (p.degree_in(t) + 1)
-    for exps, c in p.terms.items():
-        if sum(exps) != exps[i]:
-            raise InvalidInput("polynomial unexpectedly involves parameters")
-        coeffs[exps[i]] = c
-    return t, coeffs
 
 
 def ff_factor(m, t, params):

@@ -1,9 +1,11 @@
 """Primary decomposition, associated primes, and radicals (GTZ style).
 
 Zero-dimensional ideals are split along the irreducible factors of the
-minimal polynomial of a seeded generic linear form; a leaf is certified
-primary by checking that its radical (Seidenberg) is maximal via the
-shape-position test.  Positive-dimensional ideals are reduced to the
+minimal polynomial of a seeded generic linear form.  A leaf, where that
+minimal polynomial is a power p^e of one irreducible p, is certified
+primary by the shape-position test on the same form: its radical
+(Seidenberg) is maximal when deg p equals the vector-space dimension of
+the radical's quotient.  Positive-dimensional ideals are reduced to the
 zero-dimensional case over Q(U) for a maximal independent set U, using
 the block-order lead-coefficient lcm h and the split
 I = (I : h^inf)  n  (I + <h^s>).
@@ -23,8 +25,10 @@ from .errors import GenericityFailure, InvalidInput, NotZeroDimensional
 from .funcfield import (
     _ff_exact_div,
     derivative_in,
+    exact_divide,
     ff_factor,
     ff_gcd_in_t,
+    multivariate_gcd,
     primitive_part_in,
 )
 from .ideals import (
@@ -38,7 +42,7 @@ from .ideals import (
     saturate,
 )
 from .orders import MonomialOrder
-from .rings import VarMap
+from .rings import Polynomial, VarMap
 
 # Generic redraws allowed before a decomposition gives up.
 RETRIES = 8
@@ -64,27 +68,34 @@ class _Retry(Exception):
 # -- minimal polynomials via elimination ----------------------------------------
 
 
+def _eliminant(I, v, params):
+    """Primitive generator in Q[params][v] of (I n Q[params][v]) over Q(params).
+
+    The gcd over Q(params) of the elimination basis; the result lives in
+    the ring of v and params.
+    """
+    drop = [w for w in I.ring.variables if w != v and w not in params]
+    E = eliminate(I, drop)
+    if not E.generators:
+        raise NotZeroDimensional(f"{v} is transcendental over Q(params)")
+    m = E.generators[0]
+    for g in E.generators[1:]:
+        m = ff_gcd_in_t(m, g, v)
+    m = primitive_part_in(m, v)
+    if m.degree_in(v) < 1:
+        raise InvalidInput(f"eliminant in {v} degenerated to a constant")
+    return m
+
+
 def _minimal_polynomial(I, form, params=()):
     """Minimal polynomial of `form` over Q(params), modulo I.
 
-    Returns (m, tname, ering) with m a primitive polynomial in
-    Q[params][tname] living in the elimination ring ering.
+    Returns (m, tname) with m primitive in Q[params][tname].
     """
-    ring = I.ring
-    big, (tname,) = _extended_ring(ring, ["t"], front=True)
+    big, (tname,) = _extended_ring(I.ring, ["t"], front=True)
     gens = [big.transport(g) for g in I.generators]
     gens.append(big.var(tname) - big.transport(form))
-    drop = [v for v in ring.variables if v not in params]
-    E = eliminate(Ideal(big, gens), drop)
-    if not E.generators:
-        raise InvalidInput("form is transcendental: ideal not zero-dimensional")
-    m = E.generators[0]
-    for g in E.generators[1:]:
-        m = ff_gcd_in_t(m, g, tname)
-    m = primitive_part_in(m, tname)
-    if m.degree_in(tname) < 1:
-        raise InvalidInput("minimal polynomial degenerated to a constant")
-    return m, tname, E.ring
+    return _eliminant(Ideal(big, gens), tname, params), tname
 
 
 def _substitute_form(f, tname, form, target_ring):
@@ -152,8 +163,6 @@ def vector_space_dimension(I, params=()):
 
 def _lead_coefficient_lcm(I, params):
     """lcm of the Q[params]-leading coefficients of the block-order basis."""
-    from .funcfield import multivariate_gcd, exact_divide
-
     ring = I.ring
     deps = [v for v in ring.variables if v not in params]
     dep_idx = [ring.var_index(v) for v in deps]
@@ -162,16 +171,14 @@ def _lead_coefficient_lcm(I, params):
     h = ring.one()
     for g in gb:
         lm = g.leading_term(order)[0]
-        dep_part = tuple(lm[i] if i in set(dep_idx) else 0 for i in range(ring.nvars))
+        lead_dep = tuple(lm[i] for i in dep_idx)
         coeff_terms = {}
         for exps, c in g.terms.items():
-            if tuple(exps[i] for i in dep_idx) == tuple(lm[i] for i in dep_idx):
+            if tuple(exps[i] for i in dep_idx) == lead_dep:
                 key = list(exps)
                 for i in dep_idx:
                     key[i] = 0
                 coeff_terms[tuple(key)] = c
-        from .rings import Polynomial
-
         lc = Polynomial(ring, coeff_terms)
         if lc.is_constant():
             continue
@@ -186,8 +193,6 @@ def _lead_coefficient_lcm(I, params):
 
 def _squarefree_multivariate(h):
     """Product of the distinct irreducible factors of h (characteristic 0)."""
-    from .funcfield import exact_divide, derivative_in, multivariate_gcd
-
     g = None
     for v in sorted(h.variables_used()):
         d = derivative_in(h, v)
@@ -222,33 +227,13 @@ def _generic_form(ring, dep_names, rng):
     return f
 
 
-def _certify_maximal(P, params, rng):
-    """Shape-position certificate that P is maximal over Q(params)."""
-    ring = P.ring
-    deps = [v for v in ring.variables if v not in params]
-    form = _generic_form(ring, deps, rng)
-    m, tname, _ = _minimal_polynomial(P, form, params)
-    factors = ff_factor(m, tname, [v for v in m.ring.variables if v != tname])
-    if len(factors) != 1 or factors[0][1] != 1:
-        raise _Retry("radical is not prime for this projection")
-    if m.degree_in(tname) != vector_space_dimension(P, params):
-        raise _Retry("projection form is not separating")
-
-
 def _radical_over_field(I, params):
     """Radical of I over Q(params) (Seidenberg), contracted to Q[x]."""
     ring = I.ring
     deps = [v for v in ring.variables if v not in params]
     gens = list(I.generators)
     for xj in deps:
-        others = set(deps) - {xj}
-        E = eliminate(I, others)
-        if not E.generators:
-            raise NotZeroDimensional(f"{xj} is transcendental over Q(params)")
-        m = E.generators[0]
-        for g in E.generators[1:]:
-            m = ff_gcd_in_t(m, g, xj)
-        m = primitive_part_in(m, xj)
+        m = _eliminant(I, xj, params)
         gens.append(ring.transport(_ff_squarefree_part(m, xj)))
     rad = Ideal(ring, gens)
     if params:
@@ -282,11 +267,17 @@ def _zero_dim_over_field(I, params, rng):
         # huge raw generators into every elimination below.
         J = _reduced(J)
         form = _generic_form(ring, deps, rng)
-        m, tname, _ = _minimal_polynomial(J, form, params)
+        m, tname = _minimal_polynomial(J, form, params)
         factors = ff_factor(m, tname, [v for v in m.ring.variables if v != tname])
         if len(factors) == 1:
+            # With K = Q(params) and P the radical of J, K[form] = K[t]/(p)
+            # is a field inside K[x]/P.  Equal K-dimensions make the two
+            # equal, so P is maximal over K; being contracted, P is prime
+            # in Q[x], and J is P-primary.
+            p, _ = factors[0]
             prime = _radical_over_field(J, params)
-            _certify_maximal(prime, params, rng)
+            if p.degree_in(tname) != vector_space_dimension(prime, params):
+                raise _Retry("projection form is not separating")
             out.append(PrimaryComponent(_reduced(J), _reduced(prime)))
             continue
         for f, e in factors:

@@ -418,15 +418,6 @@ class VarMap:
                 raise VariableClash(f"image of {v!r} lies outside the target ring")
             self.images[v] = img
 
-    @classmethod
-    def rename(cls, source, target, renaming=None):
-        """Map each source variable to the same-named (or renamed) target var."""
-        renaming = renaming or {}
-        images = {
-            v: target.var(renaming.get(v, v)) for v in source.variables
-        }
-        return cls(source, target, images)
-
     def __call__(self, f):
         if f.ring != self.source:
             raise VariableClash("polynomial not in the map's source ring")
@@ -444,10 +435,3 @@ class VarMap:
                 term = term * p
             result = result + term
         return result
-
-    def compose(self, inner):
-        """self . inner : inner.source -> self.target."""
-        if inner.target != self.source:
-            raise VariableClash("maps are not composable")
-        images = {v: self(inner.images[v]) for v in inner.source.variables}
-        return VarMap(inner.source, self.target, images)

@@ -11,7 +11,6 @@ from flatcheck.factor import (
     _factor_mod_p,
     factor_univariate,
     squarefree_factorization,
-    squarefree_part,
 )
 from flatcheck.rings import PolyRing
 
@@ -143,7 +142,11 @@ def test_squarefree_examples():
 
 
 def test_squarefree_part():
-    assert squarefree_part(X**3 * (X - 2) ** 2) == X * (X - 2)
+    parts = squarefree_factorization(X**3 * (X - 2) ** 2)
+    product = RING.one()
+    for p, _ in parts.factors:
+        product = product * p
+    assert product == X * (X - 2)
 
 
 def test_squarefree_rejects_multivariate():
@@ -224,7 +227,7 @@ def test_factor_agrees_with_oracle_on_random_inputs():
             continue
         fac = factor_univariate(f)
         assert fac.reassemble() == f
-        squarefree = squarefree_part(f).degree_in("x") == f.degree_in("x")
+        squarefree = all(m == 1 for _, m in squarefree_factorization(f).factors)
         integral_monic = all(c.denominator == 1 for c in coeffs_of(f.monic()))
         if squarefree and integral_monic:
             irreducible = len(fac.factors) == 1 and fac.factors[0][1] == 1

@@ -74,14 +74,6 @@ def test_pow_matches_repeated_mul(qxy):
         f ** (-1)
 
 
-def test_varmap_rename():
-    src = PolyRing(("y1", "y2", "x"))
-    dst = PolyRing(("y1", "y2", "x2"))
-    y1, y2, x = src.gens()
-    m = VarMap.rename(src, dst, {"x": "x2"})
-    assert m(y2 * x - y1) == dst.var("y2") * dst.var("x2") - dst.var("y1")
-
-
 def test_varmap_substitution_kills_cover_relation():
     src = PolyRing(("y1", "u"))
     dst = PolyRing(("u",))
@@ -93,7 +85,7 @@ def test_varmap_substitution_kills_cover_relation():
 
 def test_varmap_identity(qxy):
     x, y = qxy.gens()
-    ident = VarMap.rename(qxy, qxy)
+    ident = VarMap(qxy, qxy, {"x": x, "y": y})
     f = 3 * x * y - y**2
     assert ident(f) == f
 
