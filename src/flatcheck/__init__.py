@@ -50,6 +50,7 @@ from .primdec import (
     PrimaryComponent,
     associated_primes,
     decompose,
+    radical,
     radical_and_minimal,
     zero_dim_decompose,
 )

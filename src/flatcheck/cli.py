@@ -106,7 +106,7 @@ def _run_one(command, path, args):
             with open(path, "r", encoding="utf-8") as fh:
                 pf = parse_problem(fh.read())
             if command in ("check-flat", "check-flat-regular-source", "hypotheses"):
-                problem = build_problem(pf, seed=seed)
+                problem = build_problem(pf)
                 if args.waive_hypothesis:
                     problem = dataclasses.replace(
                         problem, waived=tuple(args.waive_hypothesis)

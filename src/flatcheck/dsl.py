@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InvalidInput, ParseError, VariableClash
 from .flatness import BaseRing, FlatnessProblem, ModuleSpec, RegularCover
 from .ideals import Ideal
+from .primdec import radical
 from .rings import PolyRing
 
 _KEYWORDS = {"ring", "module", "cover", "option", "assert", "over", "radical", "Q"}
@@ -369,14 +370,13 @@ def parse_polynomial(text, ring):
     return poly
 
 
-def build_problem(pf, seed=0):
+def build_problem(pf):
     """Resolve a ProblemFile into a FlatnessProblem.
 
-    radical(...) module relations are resolved here by an actual radical
-    computation.
+    radical(...) module relations are resolved here by an exact radical
+    computation (`primdec.radical`), which needs no primary decomposition
+    and no random choice.
     """
-    from .primdec import radical_and_minimal
-
     if pf.base_name is None:
         raise InvalidInput("problem file declares no base ring")
     base_decl = pf.rings[pf.base_name]
@@ -391,8 +391,8 @@ def build_problem(pf, seed=0):
         raise InvalidInput("module is declared over a different ring than the base")
     mod_ring = PolyRing(mod_decl.variables)
     I = Ideal(mod_ring, mod_decl.generators)
-    if mod_decl.radical_requested and not I.is_zero():
-        I, _ = radical_and_minimal(I, seed=seed)
+    if mod_decl.radical_requested:
+        I = radical(I)
     # The base relations are implied module relations.
     I = Ideal(
         mod_ring,

@@ -10,6 +10,11 @@ zero-dimensional case over Q(U) for a maximal independent set U, using
 the block-order lead-coefficient lcm h and the split
 I = (I : h^inf)  n  (I + <h^s>).
 
+`radical` uses the same split without decomposing:
+rad(I) = rad(I : h^inf)  n  rad(I + <h>), where the first radical comes
+from the squarefree parts of the eliminants over Q(U) (Seidenberg) and
+the second by recursion.  It factors nothing and draws no random numbers.
+
 Everything is deterministic given (input, seed); generic choices that
 fail are retried with a bounded budget.
 """
@@ -389,14 +394,34 @@ def associated_primes(I, seed=0):
     return [c.prime for c in dec.components]
 
 
+def radical(I):
+    """Radical of I, by the split rad(I) = rad(I : h^inf) n rad(I + <h>).
+
+    No factoring and no random choice: rad(I : h^inf) is the Seidenberg
+    radical over Q(U) for a maximal independent set U, contracted back.
+    The recursion ends because h is in Q[U] \\ {0}, so h is not in rad(I)
+    and each step strictly enlarges the radical.
+    """
+    if I.is_zero() or I.is_unit():
+        return I
+    if dimension(I) == 0:
+        return _reduced(_radical_over_field(I, ()))
+    U = independent_sets(I)[0]
+    h = _lead_coefficient_lcm(I, U)
+    if h.is_constant():
+        return _reduced(_radical_over_field(I, U))
+    rad = _radical_over_field(saturate(I, h)[0], U)
+    rest = radical(ideal_sum(I, Ideal(I.ring, [h])))
+    if not rest.is_unit():
+        rad = intersect(rad, rest)
+    return _reduced(rad)
+
+
 def radical_and_minimal(I, seed=0):
-    """(radical, minimal primes) from a primary decomposition."""
+    """(radical, minimal primes); the primes from a primary decomposition."""
     primes = associated_primes(I, seed)
     minimal = []
     for p in primes:
         if not any(q is not p and p.contains_ideal(q) for q in primes):
             minimal.append(p)
-    rad = minimal[0]
-    for p in minimal[1:]:
-        rad = intersect(rad, p)
-    return _reduced(rad), minimal
+    return radical(I), minimal

@@ -242,17 +242,28 @@ def test_jobs_batch(capsys):
     assert "NON_FLAT" in out and "FLAT" in out
 
 
-def test_entry_point_subprocess():
+def _run_module(module):
     # The child imports the same flatcheck as this process, also when only
     # pytest's `pythonpath` setting put it on sys.path.
     env = dict(os.environ)
     src = str(Path(flatcheck.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "flatcheck.cli", "gb", problems.path("xy-collapse")],
+    return subprocess.run(
+        [sys.executable, "-m", module, "gb", problems.path("xy-collapse")],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def test_entry_point_subprocess():
+    proc = _run_module("flatcheck.cli")
+    assert proc.returncode == 0
+    assert "y*x" in proc.stdout
+
+
+def test_package_main_subprocess():
+    # `python -m flatcheck` runs the same CLI as `python -m flatcheck.cli`.
+    proc = _run_module("flatcheck")
     assert proc.returncode == 0
     assert "y*x" in proc.stdout

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from flatcheck.errors import InvalidInput, NotZeroDimensional
+from flatcheck import primdec
+from flatcheck.errors import GuardExceeded, Guards, InvalidInput, NotZeroDimensional
 from flatcheck.ideals import Ideal, intersect, radical_membership
 from flatcheck.primdec import (
     associated_primes,
     decompose,
+    radical,
     radical_and_minimal,
     vector_space_dimension,
     zero_dim_decompose,
@@ -113,13 +115,23 @@ def test_radical_cases(qxy):
     assert len(mins) == 1 and mins[0].equals(Ideal(qxy, [y]))
 
 
-def test_douady_radical_golden():
+def _douady_module():
     ring = PolyRing(("y1", "y2", "x"))
     y1, y2, x = ring.gens()
-    I = Ideal(ring, [4 * y1**3 + 27 * y2**2, x**3 + y1 * x + y2])
-    rad, mins = radical_and_minimal(I)
+    return Ideal(ring, [4 * y1**3 + 27 * y2**2, x**3 + y1 * x + y2])
+
+
+def _douady_primes(ring):
+    y1, y2, x = ring.gens()
     p1 = Ideal(ring, [y1 + 3 * x**2, y2 - 2 * x**3])
     p2 = Ideal(ring, [4 * y1 + 3 * x**2, 4 * y2 + x**3])
+    return p1, p2
+
+
+def test_douady_radical_golden():
+    I = _douady_module()
+    rad, mins = radical_and_minimal(I)
+    p1, p2 = _douady_primes(I.ring)
     assert prime_keys(mins) == prime_keys([p1, p2])
     assert rad.equals(intersect(p1, p2))
     # double-inclusion radical-membership check of the golden generators
@@ -127,6 +139,45 @@ def test_douady_radical_golden():
         assert radical_membership(g, I)
     for g in I.generators:
         assert rad.contains(g)
+
+
+def test_radical_douady_module():
+    I = _douady_module()
+    p1, p2 = _douady_primes(I.ring)
+    rad = radical(I)
+    assert [str(g) for g in rad.generators] == [
+        str(g) for g in intersect(p1, p2).groebner()
+    ]
+    assert len(rad.generators) == 4
+
+
+def test_radical_zero_and_unit_unchanged(qxy):
+    zero = Ideal(qxy)
+    unit = Ideal(qxy, [qxy.one()])
+    assert radical(zero) is zero
+    assert radical(unit) is unit
+
+
+def test_radical_takes_the_split_branch(qxy, monkeypatch):
+    # Over Q(U), U = {x} or {y}, the lead coefficient of x^2*y^3 is a power
+    # of the variable in U, so rad(I + <h>) is computed and intersected in.
+    splits = []
+    ideal_sum = primdec.ideal_sum
+    monkeypatch.setattr(
+        primdec, "ideal_sum", lambda I, J: splits.append(J) or ideal_sum(I, J)
+    )
+    x, y = qxy.gens()
+    assert radical(Ideal(qxy, [x**2 * y**3])).equals(Ideal(qxy, [x * y]))
+    assert splits
+    assert radical(Ideal(qxy, [x**2 * y, x * y**2])).equals(Ideal(qxy, [x * y]))
+
+
+def test_radical_honours_time_guard():
+    I = _douady_module()
+    with pytest.raises(GuardExceeded) as info:
+        with Guards(timeout=0):
+            radical(I)
+    assert info.value.guard == "time"
 
 
 def test_distinct_linear_factors_recovered():
@@ -232,3 +283,16 @@ def test_minimal_primes_subset_of_ass():
         # radical idempotence
         rad2, _ = radical_and_minimal(rad)
         assert rad2.equals(rad)
+
+
+@pytest.mark.parametrize("idx", range(50))
+def test_radical_matches_minimal_primes(idx):
+    # Reference: the intersection of the minimal primes of a decomposition.
+    I = CORPUS[idx]
+    _, minimal = radical_and_minimal(I)
+    expected = minimal[0]
+    for p in minimal[1:]:
+        expected = intersect(expected, p)
+    rad = radical(I)
+    assert [str(g) for g in rad.generators] == [str(g) for g in expected.groebner()]
+    assert [str(g) for g in radical(rad).generators] == [str(g) for g in rad.generators]
