@@ -32,6 +32,12 @@ CASES = (
     # xy-collapse has a positive-dimensional component, so its leaves are
     # certified over Q(U).
     + [("primdec", name, ()) for name in ("cusp-second-cover", "xy-collapse")]
+    + [("primdec", name, ()) for name in ("douady-no-cover", "free-module")]
+    + [("hypotheses", name, ()) for name in
+       ("xy-collapse", "free-module", "cusp-second-cover", "douady-no-cover")]
+    # The regular-source variant rejects douady-no-cover on cover_smooth:
+    # an error report.
+    + [("check-flat-regular-source", "douady-no-cover", ())]
     # Lex and block orders: the elimination orders behind contract and
     # eliminate, and a lex basis.
     + [(command, name, extra) for command, extra in
