@@ -51,8 +51,6 @@ from .primdec import (
     associated_primes,
     decompose,
     radical,
-    radical_and_minimal,
-    zero_dim_decompose,
 )
 from .rings import Polynomial, PolyRing, VarMap
 

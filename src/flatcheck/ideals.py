@@ -10,7 +10,7 @@ from .groebner import division, groebner_basis, normal_form
 from .orders import MonomialOrder
 from .rings import PolyRing
 
-# Quotient steps allowed before saturation counts as not stabilizing.
+# Saturation exponents tried before saturation counts as not stabilizing.
 SATURATION_STEPS = 512
 
 
@@ -71,8 +71,8 @@ def ideal_sum(I, J):
     return Ideal(I.ring, I.generators + J.generators)
 
 
-def _extended_ring(ring, new_vars, front=True):
-    """Ring with fresh variables added; names are uniquified if needed."""
+def _extended_ring(ring, new_vars):
+    """Ring with fresh variables in front; names are uniquified if needed."""
     names = []
     existing = set(ring.variables)
     for v in new_vars:
@@ -81,8 +81,7 @@ def _extended_ring(ring, new_vars, front=True):
             name += "_"
         existing.add(name)
         names.append(name)
-    variables = tuple(names) + ring.variables if front else ring.variables + tuple(names)
-    return PolyRing(variables), names
+    return PolyRing(tuple(names) + ring.variables), names
 
 
 def intersect(I, J):
@@ -92,7 +91,7 @@ def intersect(I, J):
     ring = I.ring
     if I.is_zero() or J.is_zero():
         return Ideal(ring)
-    big, (t_name,) = _extended_ring(ring, ["t"], front=True)
+    big, (t_name,) = _extended_ring(ring, ["t"])
     t = big.var(t_name)
     gens = [t * big.transport(g) for g in I.generators]
     gens += [(big.one() - t) * big.transport(g) for g in J.generators]
@@ -121,21 +120,36 @@ def quotient(I, f):
     return Ideal(I.ring, gens)
 
 
+def _rabinowitsch(I, f):
+    """I + <1 - t*f> in the ring with a fresh variable t, and t's name."""
+    if f.ring != I.ring:
+        raise VariableClash("Rabinowitsch ideal across rings")
+    big, (t_name,) = _extended_ring(I.ring, ["t"])
+    gens = [big.transport(g) for g in I.generators]
+    gens.append(big.one() - big.var(t_name) * big.transport(f))
+    return Ideal(big, gens), t_name
+
+
 def saturate(I, f):
-    """(I : f^inf) together with the stabilizing exponent."""
+    """(I : f^inf), by the Rabinowitsch trick, with its exponent.
+
+    The saturation is the elimination of t from I + <1 - t*f>.  The
+    exponent is the least s with f^s * (I : f^inf) inside I, which is also
+    the least s with I : f^s = I : f^inf; at most SATURATION_STEPS values
+    of s are tried.
+    """
     if f.is_zero():
         raise InvalidInput("saturation by the zero polynomial")
+    big, t_name = _rabinowitsch(I, f)
+    sat = Ideal(I.ring, [I.ring.transport(g) for g in eliminate(big, {t_name}).generators])
     guards = Guards.current()
-    current = I
-    exponent = 0
-    for _ in range(SATURATION_STEPS):
+    gens = sat.generators
+    for exponent in range(SATURATION_STEPS):
         guards.check_time()
-        nxt = quotient(current, f)
-        if nxt.ring == current.ring and current.contains_ideal(nxt):
-            return current, exponent
-        current = nxt
-        exponent += 1
-    raise GuardExceeded("saturation", "saturation did not stabilize")
+        if all(I.contains(g) for g in gens):
+            return sat, exponent
+        gens = [g * f for g in gens]
+    raise GuardExceeded("saturation", "saturation exponent not found")
 
 
 def eliminate(I, drop):
@@ -170,53 +184,31 @@ def contract_to_base(P, base_ring):
 
 
 def dimension(I):
-    """Krull dimension of ring/I via independent sets of the lead-term ideal.
+    """Krull dimension of ring/I; dim(<1>) is -1 by convention."""
+    U = independent_set(I)
+    return -1 if U is None else len(U)
 
-    dim(<1>) is -1 by convention.
+
+def independent_set(I):
+    """First maximal independent variable set of LT(I), as a name tuple.
+
+    Sets are scanned largest first, in `combinations` order within a size.
+    None for the unit ideal.
     """
     ring = I.ring
     gb = I.groebner()
     if any(g.is_constant() and not g.is_zero() for g in gb):
-        return -1
+        return None
     lms = [g.leading_term(gb.order)[0] for g in gb]
     n = ring.nvars
-    if not lms:
-        return n
     # U independent iff no leading monomial is supported entirely inside U.
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
             s = set(subset)
             if all(any(e and i not in s for i, e in enumerate(lm)) for lm in lms):
-                return size
-    return 0
-
-
-def independent_sets(I):
-    """All maximal-size independent variable sets of LT(I), as name tuples."""
-    ring = I.ring
-    gb = I.groebner()
-    if any(g.is_constant() and not g.is_zero() for g in gb):
-        return []
-    lms = [g.leading_term(gb.order)[0] for g in gb]
-    n = ring.nvars
-    d = dimension(I)
-    found = []
-    for subset in combinations(range(n), d):
-        s = set(subset)
-        if all(any(e and i not in s for i, e in enumerate(lm)) for lm in lms):
-            found.append(tuple(ring.variables[i] for i in subset))
-    return found
+                return tuple(ring.variables[i] for i in subset)
 
 
 def radical_membership(f, I):
     """f in sqrt(I), by the Rabinowitsch trick."""
-    if f.ring != I.ring:
-        raise VariableClash("radical membership across rings")
-    if f.is_zero():
-        return True
-    big, (t_name,) = _extended_ring(I.ring, ["t"], front=True)
-    t = big.var(t_name)
-    gens = [big.transport(g) for g in I.generators]
-    gens.append(t * big.transport(f) - big.one())
-    gb = groebner_basis(gens, big.default_order)
-    return len(gb) == 1 and next(iter(gb)).is_constant()
+    return _rabinowitsch(I, f)[0].is_unit()

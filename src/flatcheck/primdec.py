@@ -5,10 +5,10 @@ minimal polynomial of a seeded generic linear form.  A leaf, where that
 minimal polynomial is a power p^e of one irreducible p, is certified
 primary by the shape-position test on the same form: its radical
 (Seidenberg) is maximal when deg p equals the vector-space dimension of
-the radical's quotient.  Positive-dimensional ideals are reduced to the
-zero-dimensional case over Q(U) for a maximal independent set U, using
-the block-order lead-coefficient lcm h and the split
-I = (I : h^inf)  n  (I + <h^s>).
+the radical's quotient.  Every ideal is reduced to the zero-dimensional
+case over Q(U) for a maximal independent set U (empty in dimension 0),
+using the block-order lead-coefficient lcm h (1 when U is empty) and the
+split I = (I : h^inf)  n  (I + <h^s>).
 
 `radical` uses the same split without decomposing:
 rad(I) = rad(I : h^inf)  n  rad(I + <h>), where the first radical comes
@@ -39,10 +39,9 @@ from .funcfield import (
 from .ideals import (
     Ideal,
     _extended_ring,
-    dimension,
     eliminate,
     ideal_sum,
-    independent_sets,
+    independent_set,
     intersect,
     saturate,
 )
@@ -97,7 +96,7 @@ def _minimal_polynomial(I, form, params=()):
 
     Returns (m, tname) with m primitive in Q[params][tname].
     """
-    big, (tname,) = _extended_ring(I.ring, ["t"], front=True)
+    big, (tname,) = _extended_ring(I.ring, ["t"])
     gens = [big.transport(g) for g in I.generators]
     gens.append(big.var(tname) - big.transport(form))
     return _eliminant(Ideal(big, gens), tname, params), tname
@@ -169,6 +168,8 @@ def vector_space_dimension(I, params=()):
 def _lead_coefficient_lcm(I, params):
     """lcm of the Q[params]-leading coefficients of the block-order basis."""
     ring = I.ring
+    if not params:
+        return ring.one()  # every coefficient over Q is a constant
     deps = [v for v in ring.variables if v not in params]
     dep_idx = [ring.var_index(v) for v in deps]
     order = MonomialOrder.elimination(dep_idx, ring.nvars)
@@ -294,16 +295,6 @@ def _zero_dim_over_field(I, params, rng):
     return out
 
 
-def zero_dim_decompose(I, seed=0):
-    """Irredundant primary decomposition of a zero-dimensional ideal."""
-    if I.is_unit():
-        raise InvalidInput("decomposition of the unit ideal")
-    if dimension(I) != 0:
-        raise NotZeroDimensional("ideal is not zero-dimensional")
-    comps, _ = _with_retries(lambda rng: _zero_dim_over_field(I, (), rng), seed)
-    return _irredundant(comps)
-
-
 def _with_retries(fn, seed):
     last = None
     for attempt in range(RETRIES):
@@ -326,18 +317,9 @@ def _decompose_once(I, rng):
         if J.is_unit():
             continue
         J = _reduced(J)
-        d = dimension(J)
-        if d < 0:
-            continue
-        if d == 0:
-            comps.extend(_zero_dim_over_field(J, (), rng))
-            continue
-        U = independent_sets(J)[0]
+        U = independent_set(J)
         h = _lead_coefficient_lcm(J, U)
-        if h.is_constant():
-            comps.extend(_zero_dim_over_field(J, U, rng))
-            continue
-        J1, s = saturate(J, h)
+        J1, s = (J, 0) if h.is_constant() else saturate(J, h)
         if not J1.is_unit():
             comps.extend(_zero_dim_over_field(J1, U, rng))
         if s > 0:
@@ -404,9 +386,7 @@ def radical(I):
     """
     if I.is_zero() or I.is_unit():
         return I
-    if dimension(I) == 0:
-        return _reduced(_radical_over_field(I, ()))
-    U = independent_sets(I)[0]
+    U = independent_set(I)
     h = _lead_coefficient_lcm(I, U)
     if h.is_constant():
         return _reduced(_radical_over_field(I, U))
@@ -415,13 +395,3 @@ def radical(I):
     if not rest.is_unit():
         rad = intersect(rad, rest)
     return _reduced(rad)
-
-
-def radical_and_minimal(I, seed=0):
-    """(radical, minimal primes); the primes from a primary decomposition."""
-    primes = associated_primes(I, seed)
-    minimal = []
-    for p in primes:
-        if not any(q is not p and p.contains_ideal(q) for q in primes):
-            minimal.append(p)
-    return radical(I), minimal

@@ -266,7 +266,9 @@ class Polynomial:
             a, b = b, a
         out: Dict[Tuple[int, ...], Fraction] = {}
         mul = _kernels.monomial_mul
+        check = Guards.current().check_time
         for ea, ca in a.items():
+            check()
             for eb, cb in b.items():
                 e = mul(ea, eb)
                 s = out.get(e)

@@ -217,6 +217,23 @@ def test_timeout_guard(capsys):
     assert rep["guards"]["tripped"] == "time"
 
 
+def test_timeout_guard_reaches_the_parser(tmp_path):
+    # Expanding the base relation alone takes minutes.  A child process, so
+    # that a product which stops polling the guard fails the test, not hangs it.
+    slow = tmp_path / "slow.flat"
+    slow.write_text(
+        "ring R = Q[y1, y2] / ((y1 + y2 + 1)^400);\n"
+        "module A over R = Q[y1, y2, x] / (x*y1);\n"
+    )
+    proc = _run_module(
+        "flatcheck",
+        ["check-flat", str(slow), "--timeout", "0.5", "--format", "json"],
+        timeout=30,
+    )
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["guards"]["tripped"] == "time"
+
+
 # -- determinism and batching --------------------------------------------------------
 
 
@@ -242,17 +259,18 @@ def test_jobs_batch(capsys):
     assert "NON_FLAT" in out and "FLAT" in out
 
 
-def _run_module(module):
+def _run_module(module, argv=None, timeout=None):
     # The child imports the same flatcheck as this process, also when only
     # pytest's `pythonpath` setting put it on sys.path.
     env = dict(os.environ)
     src = str(Path(flatcheck.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", module, "gb", problems.path("xy-collapse")],
+        [sys.executable, "-m", module, *(argv or ["gb", problems.path("xy-collapse")])],
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 

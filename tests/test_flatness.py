@@ -17,7 +17,7 @@ from flatcheck.flatness import (
     verify_hypotheses,
 )
 from flatcheck.ideals import Ideal, contract_to_base, ideal_sum
-from flatcheck.primdec import radical_and_minimal
+from flatcheck.primdec import radical
 from flatcheck.rings import PolyRing, VarMap
 
 
@@ -42,9 +42,7 @@ def cusp_cover(cusp_base):
 def incidence_module(cusp_base):
     ring = PolyRing(("y1", "y2", "x"))
     y1, y2, x = ring.gens()
-    rad, _ = radical_and_minimal(
-        Ideal(ring, [4 * y1**3 + 27 * y2**2, x**3 + y1 * x + y2])
-    )
+    rad = radical(Ideal(ring, [4 * y1**3 + 27 * y2**2, x**3 + y1 * x + y2]))
     return ModuleSpec(ring, rad, cusp_base)
 
 

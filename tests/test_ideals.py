@@ -14,6 +14,7 @@ from flatcheck.ideals import (
     dimension,
     eliminate,
     ideal_sum,
+    independent_set,
     intersect,
     quotient,
     radical_membership,
@@ -69,11 +70,14 @@ def test_saturation(qxy):
     assert S.is_unit() and e == 2
     S, e = saturate(Ideal(qxy, [x * y]), x)
     assert S.equals(Ideal(qxy, [y])) and e == 1
+    with pytest.raises(VariableClash):
+        saturate(Ideal(qxy, [x * y]), PolyRing(("x", "z")).var("x"))
 
 
 def test_saturation_cap_is_a_guard(qxy, monkeypatch):
     x, _ = qxy.gens()
-    # <x^2> : x^inf = <1> stabilizes only at the third quotient; allow one.
+    # The cap bounds the exponent search: <x^2> : x^inf = <1> needs s = 2,
+    # and a cap of 1 tries only s = 0.
     monkeypatch.setattr(ideals, "SATURATION_STEPS", 1)
     with pytest.raises(GuardExceeded) as exc:
         saturate(Ideal(qxy, [x**2]), x)
@@ -96,6 +100,37 @@ def test_saturation_stability(qxy):
         f = nonzero_random_poly(qxy, rng, max_terms=2, max_deg=2)
         S, _ = saturate(I, f)
         assert quotient(S, f).equals(S)
+
+
+def _saturate_by_quotients(I, f):
+    """Reference: iterate I : f^k until I : f^k = I : f^(k+1)."""
+    current, exponent = I, 0
+    while True:
+        nxt = quotient(current, f)
+        if current.contains_ideal(nxt):
+            return current, exponent
+        current, exponent = nxt, exponent + 1
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+def test_saturation_matches_iterated_quotients(names):
+    ring = PolyRing(names)
+    rng = random.Random(len(names))
+    exponents = set()
+    for _ in range(10):
+        f = nonzero_random_poly(ring, rng, max_terms=2, max_deg=1)
+        # A power of f in one generator makes positive exponents likely.
+        gens = [
+            nonzero_random_poly(ring, rng, max_terms=2, max_deg=2) * f ** rng.randint(0, 2),
+            nonzero_random_poly(ring, rng, max_terms=2, max_deg=2),
+        ]
+        I = Ideal(ring, gens[: rng.randint(1, 2)])
+        S, e = saturate(I, f)
+        expected, expected_e = _saturate_by_quotients(I, f)
+        assert S.equals(expected)
+        assert e == expected_e
+        exponents.add(e)
+    assert len(exponents) > 1
 
 
 def test_eliminations(qxy):
@@ -167,16 +202,17 @@ def test_dimension_matches_bruteforce_on_monomial_ideals():
             continue
         I = Ideal(ring, [ring.monomial(e) for e in lms])
         # exhaustive independent-set search on the monomial generators
-        best = -1
+        first = None
         for size in range(nvars, -1, -1):
             for subset in combinations(range(nvars), size):
                 s = set(subset)
                 if all(any(e and i not in s for i, e in enumerate(lm)) for lm in lms):
-                    best = size
+                    first = subset
                     break
-            if best >= 0:
+            if first is not None:
                 break
-        assert dimension(I) == best
+        assert dimension(I) == len(first)
+        assert independent_set(I) == tuple(ring.variables[i] for i in first)
 
 
 def test_radical_membership(qxy):

@@ -11,9 +11,7 @@ from flatcheck.primdec import (
     associated_primes,
     decompose,
     radical,
-    radical_and_minimal,
     vector_space_dimension,
-    zero_dim_decompose,
 )
 from flatcheck.rings import PolyRing
 
@@ -24,12 +22,18 @@ def prime_keys(primes):
     return sorted(tuple(str(g) for g in p.groebner()) for p in primes)
 
 
+def minimal(primes):
+    """The primes of the list that contain no other one."""
+    return [p for p in primes
+            if not any(q is not p and p.contains_ideal(q) for q in primes)]
+
+
 # -- documented zero-dimensional cases ----------------------------------------------
 
 
 def test_zdd_primary_at_origin(qxy):
     x, y = qxy.gens()
-    comps = zero_dim_decompose(Ideal(qxy, [x**2, y]))
+    comps = decompose(Ideal(qxy, [x**2, y])).components
     assert len(comps) == 1
     assert comps[0].primary.equals(Ideal(qxy, [x**2, y]))
     assert comps[0].prime.equals(Ideal(qxy, [x, y]))
@@ -38,7 +42,7 @@ def test_zdd_primary_at_origin(qxy):
 def test_zdd_single_point_line():
     ring = PolyRing(("x",))
     x = ring.var("x")
-    comps = zero_dim_decompose(Ideal(ring, [x - 1]))
+    comps = decompose(Ideal(ring, [x - 1])).components
     assert len(comps) == 1
     assert comps[0].primary.equals(comps[0].prime)
     assert comps[0].prime.equals(Ideal(ring, [x - 1]))
@@ -46,18 +50,12 @@ def test_zdd_single_point_line():
 
 def test_zdd_split(qxy):
     x, y = qxy.gens()
-    comps = zero_dim_decompose(Ideal(qxy, [x**2 - 1, y]))
+    comps = decompose(Ideal(qxy, [x**2 - 1, y])).components
     assert prime_keys(c.prime for c in comps) == prime_keys(
         [Ideal(qxy, [x - 1, y]), Ideal(qxy, [x + 1, y])]
     )
     for c in comps:
         assert c.primary.equals(c.prime)
-
-
-def test_zdd_rejects_positive_dimension(qxy):
-    x, _ = qxy.gens()
-    with pytest.raises(NotZeroDimensional):
-        zero_dim_decompose(Ideal(qxy, [x]))
 
 
 def test_vector_space_dimension(qxy):
@@ -108,10 +106,10 @@ def test_associated_primes_cases(qxy):
 
 def test_radical_cases(qxy):
     x, y = qxy.gens()
-    rad, mins = radical_and_minimal(Ideal(qxy, [x**2]))
-    assert rad.equals(Ideal(qxy, [x]))
-    rad, mins = radical_and_minimal(Ideal(qxy, [x * y, y**2]))
-    assert rad.equals(Ideal(qxy, [y]))
+    assert radical(Ideal(qxy, [x**2])).equals(Ideal(qxy, [x]))
+    I = Ideal(qxy, [x * y, y**2])
+    assert radical(I).equals(Ideal(qxy, [y]))
+    mins = minimal(associated_primes(I))
     assert len(mins) == 1 and mins[0].equals(Ideal(qxy, [y]))
 
 
@@ -130,9 +128,9 @@ def _douady_primes(ring):
 
 def test_douady_radical_golden():
     I = _douady_module()
-    rad, mins = radical_and_minimal(I)
+    rad = radical(I)
     p1, p2 = _douady_primes(I.ring)
-    assert prime_keys(mins) == prime_keys([p1, p2])
+    assert prime_keys(minimal(associated_primes(I))) == prime_keys([p1, p2])
     assert rad.equals(intersect(p1, p2))
     # double-inclusion radical-membership check of the golden generators
     for g in rad.generators:
@@ -197,7 +195,7 @@ def test_distinct_linear_factors_recovered():
 def test_component_count_bounded_by_vdim(qxy):
     x, y = qxy.gens()
     I = Ideal(qxy, [x**3 - x, y**2 - y])
-    comps = zero_dim_decompose(I)
+    comps = decompose(I).components
     assert len(comps) <= vector_space_dimension(I)
     assert len(comps) == 6  # six rational points, all reduced
 
@@ -278,20 +276,20 @@ def test_ass_invariance_seed_and_permutation():
 def test_minimal_primes_subset_of_ass():
     for I in CORPUS[:10]:
         primes = associated_primes(I)
-        rad, mins = radical_and_minimal(I)
+        mins = minimal(primes)
         assert set(prime_keys(mins)) <= set(prime_keys(primes))
         # radical idempotence
-        rad2, _ = radical_and_minimal(rad)
-        assert rad2.equals(rad)
+        rad = radical(I)
+        assert radical(rad).equals(rad)
 
 
 @pytest.mark.parametrize("idx", range(50))
 def test_radical_matches_minimal_primes(idx):
     # Reference: the intersection of the minimal primes of a decomposition.
     I = CORPUS[idx]
-    _, minimal = radical_and_minimal(I)
-    expected = minimal[0]
-    for p in minimal[1:]:
+    mins = minimal(associated_primes(I))
+    expected = mins[0]
+    for p in mins[1:]:
         expected = intersect(expected, p)
     rad = radical(I)
     assert [str(g) for g in rad.generators] == [str(g) for g in expected.groebner()]
