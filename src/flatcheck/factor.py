@@ -4,7 +4,9 @@ Pipeline: Yun squarefree decomposition, factorization modulo a suitable
 prime (distinct-degree plus Cantor-Zassenhaus equal-degree splitting),
 Hensel lifting past a Mignotte-style coefficient bound, and subset
 recombination.  Dense integer coefficient lists (low degree first) are
-used internally; the public API speaks Polynomial.
+used internally.  The public API speaks Polynomial, except
+`factor_squarefree`, which takes and returns dense Fraction lists for a
+caller that knows its input is squarefree and holds its coefficients.
 """
 
 from __future__ import annotations
@@ -61,8 +63,6 @@ def _divmod_q(a, b):
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     inv = Fraction(1) / b[-1]
     while len(a) >= len(b) and _trim(a):
-        if not a:
-            break
         k = len(a) - len(b)
         c = a[-1] * inv
         q[k] = c
@@ -165,7 +165,7 @@ def _powmod_p(base, e, mod, p):
 
 
 def _factor_mod_p(f, p, rng):
-    """Irreducible monic factors of squarefree monic f mod p."""
+    """Irreducible monic factors of squarefree monic f mod an odd prime p."""
     factors = []
     # Distinct-degree phase.
     stages = []  # (degree d, product of the irreducible factors of degree d)
@@ -195,18 +195,8 @@ def _factor_mod_p(f, p, rng):
             while True:
                 guards.check_time()
                 a = [rng.randrange(p) for _ in range(_deg(w))] + [1]
-                if p == 2:
-                    # trace map splitting
-                    t = list(a)
-                    acc = list(a)
-                    for _ in range(d - 1):
-                        t = _powmod_p(t, 2, w, p)
-                        acc = _divmod_p(_add(acc, t), w, p)[1]
-                    cand = _gcd_p(acc, w, p)
-                else:
-                    e = (p**d - 1) // 2
-                    b = _powmod_p(a, e, w, p)
-                    cand = _gcd_p(_add(b, _neg([1])), w, p)
+                b = _powmod_p(a, (p**d - 1) // 2, w, p)
+                cand = _gcd_p(_add(b, _neg([1])), w, p)
                 if 0 < _deg(cand) < _deg(w):
                     work.append(cand)
                     work.append(_divmod_p(w, cand, p)[0])
@@ -317,20 +307,14 @@ def _factor_squarefree_z(f, seed=0):
     if n <= 1:
         return [f]
     rng = random.Random(seed)
-    fp = None
-    prime = None
-    disc_ok = False
     for p in _SMALL_PRIMES:
         if f[-1] % p == 0:
             continue
         fp = [x % p for x in f]
         if _deg(_gcd_p(fp, _deriv(fp), p)) == 0:
-            prime = p
-            disc_ok = True
             break
-    if not disc_ok:
+    else:
         raise GuardExceeded("prime_search", "no suitable small prime found")
-    p = prime
     inv = pow(f[-1] % p, -1, p)
     fp_monic = [x * inv % p for x in fp]
     modular = _factor_mod_p(fp_monic, p, rng)
@@ -378,10 +362,8 @@ def _factor_squarefree_z(f, seed=0):
                     break
         if not found:
             size += 1
-    if _deg(current) >= 1 or (len(current) == 1 and abs(current[0]) != 1):
-        prim, _ = _primitive(current)
-        if _deg(prim) >= 1:
-            result.append(prim)
+    if _deg(current) >= 1:
+        result.append(_primitive(current)[0])
     return result
 
 
@@ -454,20 +436,36 @@ def squarefree_factorization(f):
     return Factorization(unit, factors)
 
 
+def _factor_key(coeffs):
+    """Degree first, then the non-zero coefficients from the constant term up."""
+    return len(coeffs), [(i, c) for i, c in enumerate(coeffs) if c]
+
+
+def factor_squarefree(coeffs, seed=0):
+    """Monic irreducible factors over Q of a squarefree dense Fraction list.
+
+    The factors are dense Fraction lists, sorted by degree, then by their
+    non-zero coefficients from the constant term up.
+    """
+    prim, _ = _primitive(_to_int(coeffs)[0])
+    if prim[-1] < 0:
+        prim = _neg(prim)
+    out = []
+    for irr in _factor_squarefree_z(prim, seed=seed):
+        lc = Fraction(irr[-1])
+        out.append([Fraction(x) / lc for x in irr])
+    out.sort(key=_factor_key)
+    return out
+
+
 def factor_univariate(f, seed=0):
     """Irreducible monic factorization over Q with exact reassembly."""
     sqf = squarefree_factorization(f)
     out = []
-    unit = sqf.unit
     for part, mult in sqf.factors:
         var, coeffs = _univariate_data(part)
-        ints, _den = _to_int(coeffs)
-        prim, _cont = _primitive(ints)
-        if prim[-1] < 0:
-            prim = [-x for x in prim]
-        for irr in _factor_squarefree_z(prim, seed=seed):
-            lc = Fraction(irr[-1])
-            monic = [Fraction(x) / lc for x in irr]
-            out.append((_from_coeffs(f.ring, var, monic), mult))
-    out.sort(key=lambda t: (t[0].total_degree(), sorted(t[0].terms.items())))
-    return Factorization(unit, out)
+        out.extend((irr, mult) for irr in factor_squarefree(coeffs, seed=seed))
+    out.sort(key=lambda t: _factor_key(t[0]))
+    return Factorization(
+        sqf.unit, [(_from_coeffs(f.ring, var, irr), mult) for irr, mult in out]
+    )

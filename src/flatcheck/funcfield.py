@@ -3,10 +3,12 @@
 The positive-dimensional decomposition steps treat an ideal as
 zero-dimensional over Q(U) for a maximal independent set U, which calls
 for gcds and irreducible factorization of univariate-in-t polynomials
-with coefficients in Q[U].  Factorization works by evaluating U at an
-integer point, factoring over Q, lifting the factors U-adically (the
-coefficient degree of a monic factor is bounded by the coefficient
-degree of the product), and recombining.
+with coefficients in Q[U].  Factorization takes one squarefree part,
+f / gcd(f, df/dt), evaluates U at an integer point where it stays
+squarefree, factors the image over Q with `factor.factor_squarefree`,
+lifts the factors U-adically (the coefficient degree of a monic factor
+is bounded by the coefficient degree of the product), and recombines.
+Each factor's multiplicity in f is then counted by exact division.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from .factor import (
     _mul,
     _neg,
     _trim,
-    _univariate_data,
-    factor_univariate,
+    factor_squarefree,
 )
 from .groebner import division
 from .rings import Polynomial, VarMap
@@ -125,28 +126,21 @@ def multivariate_gcd(f, g):
         return f.monic()
     if f.is_constant() or g.is_constant():
         return f.ring.one()
-    used = sorted(f.variables_used() | g.variables_used())
-    var = used[0]
-    if f.degree_in(var) == 0 or g.degree_in(var) == 0:
-        # var appears in only one of them: gcd lives in the coefficients
-        fc = content_in(f, var) if f.degree_in(var) > 0 else f
-        gc = content_in(g, var) if g.degree_in(var) > 0 else g
-        return multivariate_gcd(fc, gc)
+    var = min(f.variables_used() | g.variables_used())
     cf = content_in(f, var)
     cg = content_in(g, var)
     cont = multivariate_gcd(cf, cg)
+    # a and b stay primitive in var, so the last non-zero one is the
+    # primitive part of the gcd.
     a = exact_divide(f, cf)
     b = exact_divide(g, cg)
     if a.degree_in(var) < b.degree_in(var):
         a, b = b, a
-    while not b.is_zero():
+    while True:
         r = _pseudo_remainder(a, b, var)
         if r.is_zero():
-            b_pp = b
-            return (cont * primitive_part_in(b_pp, var)).monic()
-        r = primitive_part_in(r, var)
-        a, b = b, r
-    return (cont * primitive_part_in(a, var)).monic()
+            return (cont * b).monic()
+        a, b = b, primitive_part_in(r, var)
 
 
 # -- univariate-in-t helpers over Q[U] ------------------------------------------
@@ -171,42 +165,17 @@ def ff_gcd_in_t(f, g, t):
     return primitive_part_in(h, t)
 
 
-def ff_squarefree_decomposition(f, t):
-    """Musser's squarefree decomposition over Q(U).
+def ff_squarefree_part(f, t):
+    """Product of the distinct irreducible factors over Q(U) of f.
 
-    Returns [(primitive squarefree part, multiplicity)].  Every step is a
-    gcd or an exact division, both well-defined up to units of Q(U), so
-    the primitive-representative normalization is safe here (unlike
-    Yun's scheme, whose intermediate differences are unit-sensitive).
+    f must be primitive in t.  The result is f / gcd(f, df/dt), primitive
+    in t; by Gauss's lemma the primitive gcd divides f in Q[U][t], so the
+    division is exact.
     """
-    f = primitive_part_in(f, t)
-    if f.degree_in(t) == 0:
-        return []
     g = ff_gcd_in_t(f, derivative_in(f, t), t)
     if g.degree_in(t) == 0:
-        return [(f, 1)]
-    w = _ff_exact_div(f, g, t)  # product of the distinct prime factors
-    parts = []
-    i = 1
-    while w.degree_in(t) > 0:
-        y = ff_gcd_in_t(w, g, t)
-        a = _ff_exact_div(w, y, t)  # primes of multiplicity exactly i
-        if a.degree_in(t) > 0:
-            parts.append((a, i))
-        w = y
-        if g.degree_in(t) > 0:
-            g = _ff_exact_div(g, y, t)
-        i += 1
-    return parts
-
-
-def _ff_exact_div(f, g, t):
-    """f / g over Q(U), as a primitive polynomial.  g must divide f over Q(U).
-
-    By Gauss's lemma pp(g) then divides pp(f) in Q[U][t], so the quotient
-    is an exact division there.
-    """
-    return exact_divide(primitive_part_in(f, t), primitive_part_in(g, t))
+        return f
+    return exact_divide(f, g)
 
 
 # -- factorization over Q(U) -----------------------------------------------------
@@ -338,13 +307,8 @@ def ff_factor_squarefree(m, t, params):
     monic, lc = _monicize_in_t(m, t)
     shift = _good_point(monic, t, params)
     shifted = _substitute_params(monic, shift)
-    base_coeffs = _evaluate_params(shifted, t, {v: 0 for v in params})
-    base = _from_coeffs(ring, t, base_coeffs)
-    fac = factor_univariate(base)
-    gs = []
-    for p, mult in fac.factors:
-        assert mult == 1
-        gs.append(_univariate_data(p)[1])
+    # _good_point made the base squarefree.
+    gs = factor_squarefree(_evaluate_params(shifted, t, {v: 0 for v in params}))
     if len(gs) == 1:
         return [primitive_part_in(m, t)]
     sigma = _param_degree(shifted, t) + 1
@@ -378,6 +342,7 @@ def ff_factor_squarefree(m, t, params):
                 if delta:
                     lifted[idx] = lifted[idx] + u_mono * _from_coeffs(ring, t, delta)
     # recombination
+    order = ring.default_order
     factors = []
     remaining = list(range(len(lifted)))
     current = shifted
@@ -394,10 +359,12 @@ def ff_factor_squarefree(m, t, params):
             for i in combo:
                 cand = _truncate_param(cand * lifted[i], t, sigma)
             cand = _truncate_param(cand, t, sigma - 1)
-            # cand is monic in t, so this is the true remainder.
-            if _pseudo_remainder(current, cand, t).is_zero():
+            # {cand} is a Groebner basis of its ideal, so a zero remainder
+            # means cand divides current, and the quotient is exact.
+            (quotient,), rem = division(current, [cand], order)
+            if rem.is_zero():
                 factors.append(cand)
-                current = exact_divide(current, cand)
+                current = quotient
                 remaining = [i for i in remaining if i not in combo]
                 found = True
                 break
@@ -421,11 +388,30 @@ def ff_factor_squarefree(m, t, params):
 
 
 def ff_factor(m, t, params):
-    """Full factorization over Q(U): [(primitive irreducible, multiplicity)]."""
+    """Full factorization over Q(U): [(primitive irreducible, multiplicity)].
+
+    The squarefree part of m is factored once with `ff_factor_squarefree`.
+    Each factor's multiplicity is the number of times it divides m: both
+    are primitive in t, so by Gauss's lemma divisibility over Q(U) is
+    divisibility in Q[U][t], which a division by the one factor (a
+    Groebner basis of its own ideal) decides exactly.
+    """
+    m = primitive_part_in(m, t)
+    if m.degree_in(t) == 0:
+        return []
+    order = m.ring.default_order
     out = []
-    for part, mult in ff_squarefree_decomposition(m, t):
-        if part.degree_in(t) == 0:
-            continue
-        for irr in ff_factor_squarefree(part, t, params):
-            out.append((irr, mult))
+    for irr in ff_factor_squarefree(ff_squarefree_part(m, t), t, params):
+        mult = 0
+        rest = m
+        while True:
+            (quotient,), rem = division(rest, [irr], order)
+            if not rem.is_zero():
+                break
+            rest = quotient
+            mult += 1
+        out.append((irr, mult))
+    # Stable, by multiplicity: the order decides which generic form the
+    # RNG hands to which branch in primdec._zero_dim_over_field.
+    out.sort(key=lambda pair: pair[1])
     return out

@@ -18,7 +18,6 @@ from .rings import Polynomial, _primitive
 class GroebnerBasis:
     generators: Tuple[Polynomial, ...]
     order: object
-    reduced: bool = False
 
     def __iter__(self):
         return iter(self.generators)
@@ -273,7 +272,7 @@ def reduce_basis(G, order):
     """Unique reduced basis: monic, auto-reduced, sorted by leading monomial."""
     polys = [g for g in G if not g.is_zero()]
     if not polys:
-        return GroebnerBasis((), order, reduced=True)
+        return GroebnerBasis((), order)
     ring = _same_ring(polys)
     guard = order.guard
     # Minimalize: drop generators whose lead is divisible by another lead.
@@ -293,7 +292,7 @@ def reduce_basis(G, order):
             lead = max(r)
             reduced.append((lead, _to_polynomial(ring, r, r[lead], order)))
     reduced.sort(key=lambda t: t[0], reverse=True)
-    return GroebnerBasis(tuple(f for _, f in reduced), order, reduced=True)
+    return GroebnerBasis(tuple(f for _, f in reduced), order)
 
 
 def groebner_basis(gens, order, use_coprime=True, use_chain=True):

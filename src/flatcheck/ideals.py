@@ -130,18 +130,22 @@ def _rabinowitsch(I, f):
     return Ideal(big, gens), t_name
 
 
-def saturate(I, f):
-    """(I : f^inf), by the Rabinowitsch trick, with its exponent.
-
-    The saturation is the elimination of t from I + <1 - t*f>.  The
-    exponent is the least s with f^s * (I : f^inf) inside I, which is also
-    the least s with I : f^s = I : f^inf; at most SATURATION_STEPS values
-    of s are tried.
-    """
+def _saturation(I, f):
+    """(I : f^inf), the elimination of t from I + <1 - t*f>."""
     if f.is_zero():
         raise InvalidInput("saturation by the zero polynomial")
     big, t_name = _rabinowitsch(I, f)
-    sat = Ideal(I.ring, [I.ring.transport(g) for g in eliminate(big, {t_name}).generators])
+    return Ideal(I.ring, [I.ring.transport(g) for g in eliminate(big, {t_name}).generators])
+
+
+def saturate(I, f):
+    """(I : f^inf), by the Rabinowitsch trick, with its exponent.
+
+    The exponent is the least s with f^s * (I : f^inf) inside I, which is
+    also the least s with I : f^s = I : f^inf; at most SATURATION_STEPS
+    values of s are tried.
+    """
+    sat = _saturation(I, f)
     guards = Guards.current()
     gens = sat.generators
     for exponent in range(SATURATION_STEPS):

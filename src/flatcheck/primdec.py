@@ -28,17 +28,18 @@ from typing import List
 
 from .errors import GenericityFailure, InvalidInput, NotZeroDimensional
 from .funcfield import (
-    _ff_exact_div,
     derivative_in,
     exact_divide,
     ff_factor,
     ff_gcd_in_t,
+    ff_squarefree_part,
     multivariate_gcd,
     primitive_part_in,
 )
 from .ideals import (
     Ideal,
     _extended_ring,
+    _saturation,
     eliminate,
     ideal_sum,
     independent_set,
@@ -61,7 +62,6 @@ class PrimaryComponent:
 @dataclass
 class Decomposition:
     components: List[PrimaryComponent]
-    seed: int
     retries: int  # generic redraws consumed before success
 
 
@@ -108,13 +108,6 @@ def _substitute_form(f, tname, form, target_ring):
     for v in f.ring.variables:
         images[v] = form if v == tname else target_ring.var(v)
     return VarMap(f.ring, target_ring, images)(f)
-
-
-def _ff_squarefree_part(m, tname):
-    g = ff_gcd_in_t(m, derivative_in(m, tname), tname)
-    if g.degree_in(tname) == 0:
-        return m
-    return _ff_exact_div(m, g, tname)
 
 
 # -- standard monomial counting --------------------------------------------------
@@ -190,7 +183,7 @@ def _lead_coefficient_lcm(I, params):
             continue
         g_ = multivariate_gcd(h, lc)
         h = exact_divide(h * lc, g_) if not g_.is_constant() else h * lc
-    if h.is_zero() or h.is_constant():
+    if h.is_constant():
         return h
     # Only the radical of h matters for the saturation split, so strip
     # repeated factors; this keeps the I + <h^s> branch degrees small.
@@ -218,8 +211,7 @@ def _contract(I, params):
     h = _lead_coefficient_lcm(I, params)
     if h.is_constant():
         return I
-    sat, _ = saturate(I, h)
-    return sat
+    return _saturation(I, h)
 
 
 # -- zero-dimensional decomposition over Q(params) --------------------------------
@@ -240,7 +232,7 @@ def _radical_over_field(I, params):
     gens = list(I.generators)
     for xj in deps:
         m = _eliminant(I, xj, params)
-        gens.append(ring.transport(_ff_squarefree_part(m, xj)))
+        gens.append(ring.transport(ff_squarefree_part(m, xj)))
     rad = Ideal(ring, gens)
     if params:
         rad = _contract(rad, params)
@@ -330,11 +322,11 @@ def _decompose_once(I, rng):
 def decompose(I, seed=0):
     """Irredundant primary decomposition in any dimension."""
     if I.is_zero():
-        return Decomposition([PrimaryComponent(I, I)], seed, 0)
+        return Decomposition([PrimaryComponent(I, I)], 0)
     if I.is_unit():
         raise InvalidInput("decomposition of the unit ideal")
     comps, attempts = _with_retries(lambda rng: _decompose_once(I, rng), seed)
-    return Decomposition(_irredundant(comps), seed, attempts)
+    return Decomposition(_irredundant(comps), attempts)
 
 
 def _prime_key(P):
@@ -390,7 +382,7 @@ def radical(I):
     h = _lead_coefficient_lcm(I, U)
     if h.is_constant():
         return _reduced(_radical_over_field(I, U))
-    rad = _radical_over_field(saturate(I, h)[0], U)
+    rad = _radical_over_field(_saturation(I, h), U)
     rest = radical(ideal_sum(I, Ideal(I.ring, [h])))
     if not rest.is_unit():
         rad = intersect(rad, rest)

@@ -224,9 +224,9 @@ class Polynomial:
             hit = self._packed[key] = (form, lead, form[lead], degree)
         return hit
 
-    def sorted_terms(self, order=None, reverse=True):
+    def sorted_terms(self, order=None):
         order = order or self.ring.default_order
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
+        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     # -- arithmetic --------------------------------------------------------
 

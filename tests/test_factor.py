@@ -9,6 +9,7 @@ import pytest
 from flatcheck.errors import GuardExceeded, Guards, InvalidInput
 from flatcheck.factor import (
     _factor_mod_p,
+    factor_squarefree,
     factor_univariate,
     squarefree_factorization,
 )
@@ -213,6 +214,23 @@ def test_random_products_roundtrip():
         for p, m in fac.factors:
             got[str(p)] = got.get(str(p), 0) + m
         assert got == expected
+
+
+def test_factor_squarefree_matches_factor_univariate():
+    # The squarefree products of the roundtrip test above, as dense lists.
+    rng = random.Random(2024)
+    for trial in range(40):
+        nfactors = rng.randint(1, 4)
+        factors = [random_irreducible(rng) for _ in range(nfactors)]
+        unit = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
+        if len(set(factors)) < nfactors:
+            continue
+        f = RING.const(unit)
+        for p in factors:
+            f = f * p
+        got = factor_squarefree(coeffs_of(f), seed=trial)
+        fac = factor_univariate(f, seed=trial)
+        assert got == [coeffs_of(p) for p, _ in fac.factors]
 
 
 def test_factor_agrees_with_oracle_on_random_inputs():

@@ -9,7 +9,6 @@ from flatcheck.funcfield import (
     _good_point,
     ff_factor,
     ff_gcd_in_t,
-    ff_squarefree_decomposition,
     multivariate_gcd,
     primitive_part_in,
 )
@@ -42,7 +41,7 @@ def test_squarefree_decomposition():
     ring = PolyRing(("u", "t"))
     u, t = ring.gens()
     f = (t - u) ** 2 * (t + 2 * u)
-    parts = ff_squarefree_decomposition(f, "t")
+    parts = ff_factor(f, "t", ["u"])
     norm = sorted((str(_canon(p, "t")), m) for p, m in parts if p.degree_in("t") > 0)
     assert norm == [
         (str(_canon(t + 2 * u, "t")), 1),
@@ -114,6 +113,25 @@ def test_ff_factor_random_products_reassemble():
             recon = recon * p**mult
         # equality up to a unit of Q(U)
         assert _canon(recon, "t") == _canon(m, "t")
+
+
+def test_ff_factor_multiplicities():
+    # Repeated factors, which the random products above never have: each
+    # comes back once, with its multiplicity, sorted by multiplicity.
+    rng = random.Random(29)
+    ring = PolyRing(("u", "t"))
+    u, t = ring.gens()
+    pool = [t - u, t + u, t + 1, t - 2 * u, u * t - 1, t**2 - u]
+    for _ in range(12):
+        chosen = rng.sample(pool, rng.randint(1, 3))
+        mults = [rng.randint(1, 3) for _ in chosen]
+        m = ring.one()
+        for p, e in zip(chosen, mults):
+            m = m * p**e
+        factors = ff_factor(m, "t", ["u"])
+        got = sorted((str(_canon(p, "t")), mult) for p, mult in factors)
+        assert got == sorted((str(_canon(p, "t")), e) for p, e in zip(chosen, mults))
+        assert [mult for _, mult in factors] == sorted(mults)
 
 
 def test_timeout_trips_inside_ff_factor():

@@ -126,6 +126,7 @@ def test_saturation_matches_iterated_quotients(names):
         ]
         I = Ideal(ring, gens[: rng.randint(1, 2)])
         S, e = saturate(I, f)
+        assert ideals._saturation(I, f).generators == S.generators
         expected, expected_e = _saturate_by_quotients(I, f)
         assert S.equals(expected)
         assert e == expected_e
