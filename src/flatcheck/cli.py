@@ -205,7 +205,9 @@ def main(argv=None):
     args = _build_argparser().parse_args(argv)
     work = [(args.command, path, args) for path in args.files]
     if args.jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # The executor starts all its workers up front, so ask for no more
+        # than there are files.
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(work))) as pool:
             results = list(pool.map(_run_one_star, work))
     else:
         results = [_run_one(*w) for w in work]

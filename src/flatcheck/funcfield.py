@@ -9,12 +9,21 @@ squarefree, factors the image over Q with `factor.factor_squarefree`,
 lifts the factors U-adically (the coefficient degree of a monic factor
 is bounded by the coefficient degree of the product), and recombines.
 Each factor's multiplicity in f is then counted by exact division.
+
+Every gcd in Q[U][t], contents and squarefree parts included, is one
+`multivariate_gcd`: the heuristic integer gcd GCDHEU (Char, Geddes &
+Gonnet, JSC 7, 1989) on the primitive integer forms.  A
+candidate counts only after trial division into both inputs by the
+integer Groebner reduction, which makes every returned gcd exact.  When
+the heuristic gives up, the gcd is f*g / lcm(f, g), the lcm read off the
+reduced basis of the intersection <f> n <g>.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from .errors import GuardExceeded, Guards, InvalidInput
 from .factor import (
@@ -28,11 +37,15 @@ from .factor import (
     _trim,
     factor_squarefree,
 )
-from .groebner import division
-from .rings import Polynomial, VarMap
+from .groebner import _reduce, division
+from .ideals import Ideal, intersect
+from .orders import DEGREE_MASK
+from .rings import Polynomial, VarMap, _primitive
 
 # Recombination tries at most this many subsets of the lifted factors.
 MAX_SUBSETS = 100000
+# GCDHEU tries this many evaluation points per variable before giving up.
+HEU_POINTS = 6
 
 # -- exact division and multivariate gcd ---------------------------------------
 
@@ -93,32 +106,110 @@ def content_in(f, var):
 
 def primitive_part_in(f, var):
     c = content_in(f, var)
-    if c.is_zero():
+    if c.is_constant():
         return f
     return exact_divide(f, c)
 
 
-def _pseudo_remainder(f, g, var):
-    """prem(f, g) in var: lc(g)^k * f reduced by g without leaving Q[...]."""
-    df = f.degree_in(var)
-    dg = g.degree_in(var)
-    lc_g = leading_coefficient_in(g, var)
-    v = f.ring.var(var)
-    while df >= dg and not f.is_zero():
-        lc_f = leading_coefficient_in(f, var)
-        f = lc_g * f - lc_f * v ** (df - dg) * g
-        new_df = f.degree_in(var)
-        if new_df == df:
-            # top term must have cancelled exactly
-            raise InvalidInput("pseudo-division failed to reduce degree")
-        df = new_df
-    return f
+def _divides(c, a, order):
+    """True iff the integer term map c divides a.
+
+    {c} is a Groebner basis of its own ideal, so c divides a iff the
+    fraction-free reduction of a by c leaves no remainder.
+    """
+    pack = order.pack
+    form = {pack(e): v for e, v in c.items()}
+    lead = max(form)
+    entry = (form, lead, form[lead], max(k & DEGREE_MASK for k in form))
+    r, _ = _reduce({pack(e): v for e, v in a.items()}, [entry], [lead], order.guard)
+    return not r
+
+
+def _evaluate(a, i, xi):
+    """The integer term map a with variable i set to xi."""
+    powers = [1]
+    out = {}
+    for e, c in a.items():
+        k = e[i]
+        if k:
+            while len(powers) <= k:
+                powers.append(powers[-1] * xi)
+            c *= powers[k]
+            e = e[:i] + (0,) + e[i + 1:]
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _interpolate(h, i, xi):
+    """The map whose value at x_i = xi is h, read xi-adically in x_i.
+
+    h does not involve x_i; each coefficient of the result is a
+    symmetric residue, in (-xi/2, xi/2].
+    """
+    guards = Guards.current()
+    half = xi // 2
+    out = {}
+    k = 0
+    while h:
+        guards.check_time()
+        rest = {}
+        for e, c in h.items():
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[e[:i] + (k,) + e[i + 1:]] = r
+            q = (c - r) // xi
+            if q:
+                rest[e] = q
+        h = rest
+        k += 1
+    return out
+
+
+def _heu_gcd(a, b, order):
+    """gcd in Z[x] of two integer term maps by GCDHEU, or None if it gives up.
+
+    Char, Geddes & Gonnet (JSC 7, 1989): evaluate the highest-index
+    variable in use at an integer xi, take the gcd of the two images by
+    recursion (one integer gcd once no variable is left) and read it back
+    xi-adically.  With xi above twice the smaller max-norm, a candidate
+    whose primitive part divides both primitive inputs is their gcd, so
+    the trial division by `_divides` decides every answer.  Up to
+    HEU_POINTS values of xi are tried per variable.
+    """
+    if not a:
+        return b
+    if not b:
+        return a
+    a, ca = _primitive(a)
+    b, cb = _primitive(b)
+    gamma = gcd(ca, cb)
+    if not any(map(any, a)) or not any(map(any, b)):
+        # One side is a unit times its content.
+        return {(0,) * len(next(iter(a))): gamma}
+    x = max(i for e in itertools.chain(a, b) for i, k in enumerate(e) if k)
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    guards = Guards.current()
+    for _ in range(HEU_POINTS):
+        guards.check_time()
+        h = _heu_gcd(_evaluate(a, x, xi), _evaluate(b, x, xi), order)
+        if h is None:
+            return None
+        cand, _ = _primitive(_interpolate(h, x, xi))
+        if _divides(cand, a, order) and _divides(cand, b, order):
+            return {e: gamma * c for e, c in cand.items()}
+        xi = xi * 73794 // 27011
+    return None
 
 
 def multivariate_gcd(f, g):
     """gcd in Q[x1..xk], normalized with monic leading coefficient.
 
-    Primitive PRS: recurse on contents, pseudo-remainders on primitive parts.
+    GCDHEU (`_heu_gcd`) on the primitive integer forms of f and g; every
+    candidate it returns has passed trial division into both.  If the
+    heuristic gives up, the gcd is f*g / lcm(f, g), the lcm being the
+    one generator of the reduced basis of <f> n <g>.
     """
     if f.is_zero():
         return g.monic() if not g.is_zero() else g
@@ -126,21 +217,12 @@ def multivariate_gcd(f, g):
         return f.monic()
     if f.is_constant() or g.is_constant():
         return f.ring.one()
-    var = min(f.variables_used() | g.variables_used())
-    cf = content_in(f, var)
-    cg = content_in(g, var)
-    cont = multivariate_gcd(cf, cg)
-    # a and b stay primitive in var, so the last non-zero one is the
-    # primitive part of the gcd.
-    a = exact_divide(f, cf)
-    b = exact_divide(g, cg)
-    if a.degree_in(var) < b.degree_in(var):
-        a, b = b, a
-    while True:
-        r = _pseudo_remainder(a, b, var)
-        if r.is_zero():
-            return (cont * b).monic()
-        a, b = b, primitive_part_in(r, var)
+    ring = f.ring
+    h = _heu_gcd(f.integer_form()[0], g.integer_form()[0], ring.default_order)
+    if h is None:
+        (lcm,) = intersect(Ideal(ring, [f]), Ideal(ring, [g])).groebner()
+        return exact_divide(f * g, lcm).monic()
+    return Polynomial(ring, {e: Fraction(c) for e, c in h.items()}).monic()
 
 
 # -- univariate-in-t helpers over Q[U] ------------------------------------------

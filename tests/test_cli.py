@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import flatcheck
-from flatcheck import problems
+from flatcheck import cli, problems
 from flatcheck.cli import main
 from flatcheck.report import SCHEMA_VERSION
 
@@ -257,6 +257,33 @@ def test_jobs_batch(capsys):
     for p in paths:
         assert f"== {p}" in out
     assert "NON_FLAT" in out and "FLAT" in out
+
+
+def test_jobs_asks_for_no_more_workers_than_files(monkeypatch, capsys):
+    # The executor launches every worker it is allowed up front, so --jobs
+    # must be clamped to the file count.  The fake runs the work in this
+    # process and starts nothing.
+    asked = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
+    paths = [problems.path("xy-collapse"), problems.path("free-module")]
+    code, out = run_cli(["check-flat", *paths, "--jobs", "64"], capsys)
+    assert code == 0
+    assert asked == [2]
+    assert "NON_FLAT" in out
 
 
 def _run_module(module, argv=None, timeout=None):

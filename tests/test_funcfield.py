@@ -1,9 +1,11 @@
 """Gcd, squarefree decomposition, and factorization over Q(U)."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from flatcheck import funcfield
 from flatcheck.errors import GuardExceeded, Guards
 from flatcheck.funcfield import (
     _good_point,
@@ -12,7 +14,7 @@ from flatcheck.funcfield import (
     multivariate_gcd,
     primitive_part_in,
 )
-from flatcheck.rings import PolyRing
+from flatcheck.rings import Polynomial, PolyRing
 
 
 def _canon(f, var):
@@ -21,13 +23,82 @@ def _canon(f, var):
     return p
 
 
-def test_multivariate_gcd_basic():
+def _basic_gcd_cases():
+    """(f, g, gcd up to a unit) over Q[u, t]."""
     ring = PolyRing(("u", "t"))
     u, t = ring.gens()
-    g = multivariate_gcd((t - u) * (t + u), (t - u) * t)
-    assert _canon(g, "t") == _canon(t - u, "t")
-    g2 = multivariate_gcd(u**2 * t - u**2 * 1, u * t**2 - u)
-    assert _canon(g2, "t") == _canon(u * (t - 1), "t")
+    return [
+        ((t - u) * (t + u), (t - u) * t, t - u),
+        (u**2 * t - u**2 * 1, u * t**2 - u, u * (t - 1)),
+        (t - u, t + u + 1, ring.one()),
+    ]
+
+
+def test_multivariate_gcd_basic():
+    for f, g, want in _basic_gcd_cases():
+        assert multivariate_gcd(f, g) == want.monic()
+
+
+def _random_gcd_pairs():
+    """50 seeded pairs in Q[u, v, t]: products sharing a random factor,
+    with rational coefficients, plus zero and constant operands."""
+    rng = random.Random(71)
+    ring = PolyRing(("u", "v", "t"))
+
+    def rand_poly(max_terms, max_degree):
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            exps = tuple(rng.randint(0, max_degree) for _ in range(3))
+            terms[exps] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+        return Polynomial(ring, terms)
+
+    zero, half = ring.zero(), ring.const(Fraction(3, 2))
+    f = rand_poly(3, 2)
+    pairs = [(zero, zero), (zero, f), (f, zero), (half, f), (f, half), (half, zero)]
+    while len(pairs) < 50:
+        common = rand_poly(3, 2)
+        pairs.append((common * rand_poly(3, 1), common * rand_poly(4, 1)))
+    return pairs
+
+
+def _sympy_gcd(f, g):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(f.ring.variables)
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+            *syms,
+            domain="QQ",
+        )
+
+    h = sympy.gcd(to_sympy(f), to_sympy(g))
+    return Polynomial(f.ring, {e: Fraction(int(c.p), int(c.q)) for e, c in h.terms()})
+
+
+def test_multivariate_gcd_matches_sympy():
+    for f, g in _random_gcd_pairs():
+        assert multivariate_gcd(f, g) == _sympy_gcd(f, g).monic(), (f, g)
+
+
+def test_multivariate_gcd_fallback_gives_the_same_gcds(monkeypatch):
+    # With the heuristic always giving up, every gcd comes from the lcm
+    # generator of <f> n <g>.
+    pairs = [(f, g) for f, g, _ in _basic_gcd_cases()] + _random_gcd_pairs()
+    want = [multivariate_gcd(f, g) for f, g in pairs]
+    monkeypatch.setattr(funcfield, "_heu_gcd", lambda a, b, order: None)
+    assert [multivariate_gcd(f, g) for f, g in pairs] == want
+
+
+def test_timeout_trips_inside_multivariate_gcd():
+    ring = PolyRing(("u", "t"))
+    u, t = ring.gens()
+    f, g = (t - u) * (t + u), (t - u) * t
+    # Warm the integer forms, so that the trip comes from the gcd itself.
+    f.integer_form(), g.integer_form()
+    with pytest.raises(GuardExceeded) as exc, Guards(timeout=0):
+        multivariate_gcd(f, g)
+    assert exc.value.guard == "time"
 
 
 def test_gcd_of_coprime_is_unit():
