@@ -1,9 +1,10 @@
 """flatcheck: decide flatness of a finite-type module over a singular base.
 
 The pipeline builds the n-fold fibred-power ideal of a cyclic module
-presentation, adjoins a user-supplied regular cover, and searches the
-associated primes for one whose contraction to the base strictly
-contains the base's defining ideal — a certified torsion witness.
+presentation, adjoins a user-supplied regular cover, and tests it for
+torsion over the base by one saturation; the minimal primes of the
+torsion, whose contractions to the base strictly contain the base's
+defining ideal, are the certified torsion witnesses.
 """
 
 __version__ = "0.1.0"

@@ -6,11 +6,15 @@ with S,
 
     J = q + relabel_1(I) + ... + relabel_n(I) + L,
 
-inside Q[y, x__1, ..., x__n, u], and look for associated primes of J
-whose contraction to Q[y] strictly contains q.  Such a prime witnesses
-torsion, hence non-flatness; absence of witnesses certifies flatness
-(provided the base is asserted to be analytically irreducible and all
-machine-checkable hypotheses hold).
+inside Q[y, x__1, ..., x__n, u], and decide whether Q[...]/J is a
+torsion-free R-module by one saturation: with z a maximal independent
+set of q and h the lead-coefficient lcm of J over Q(z), the torsion
+submodule is T = (J : h^inf)/J (Gianni-Trager-Zacharias), so J is
+torsion-free iff J : h^inf = J.  Torsion means non-flatness; the
+witnesses are the minimal primes of T, whose contractions to Q[y]
+strictly contain q.  Torsion-freeness certifies flatness (provided the
+base is asserted to be analytically irreducible and all
+machine-checkable hypotheses hold).  J itself is never decomposed.
 """
 
 from __future__ import annotations
@@ -22,8 +26,16 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import GuardExceeded, HypothesisViolation, InvalidInput, VariableClash
 from .funcfield import derivative_in
-from .ideals import Ideal, contract_to_base, dimension, ideal_sum
-from .primdec import decompose
+from .ideals import (
+    Ideal,
+    contract_to_base,
+    dimension,
+    ideal_sum,
+    independent_set,
+    intersect,
+    quotient,
+)
+from .primdec import _contract, decompose, radical
 from .rings import PolyRing, VarMap
 
 
@@ -202,13 +214,30 @@ def build_fibred_power(base, module, n, cover=None):
 
 
 def torsion_witnesses(J, base, seed=0):
-    """Associated primes of J contracting strictly past q, with retry count."""
+    """Minimal primes of the R-torsion T of Q[...]/J, and the retry count.
+
+    With z = independent_set(q), q meets Q[z] only in 0 and is prime, so
+    R-torsion is Q[z]-torsion and T = (J : h^inf)/J, h being the
+    lead-coefficient lcm of J over Q(z).  An empty list means J is
+    torsion-free.  Otherwise ann T is the intersection of J : g over the
+    generators g of J : h^inf outside J, and the witnesses are the primes
+    of rad(ann T): the minimal elements among the associated primes of J
+    that contract strictly past q.  An associated prime of T that
+    contains another witness is not listed.
+    """
     for g in base.q.generators:
         if not J.contains(J.ring.transport(g)):
             raise InvalidInput("fibred-power ideal does not contain q")
-    if J.is_zero():
+    if J.is_zero() or J.is_unit():
         return [], 0
-    dec = decompose(J, seed=seed)
+    sat = _contract(J, independent_set(base.q))
+    extra = [g for g in sat.generators if not J.contains(g)]
+    if not extra:
+        return [], 0
+    ann = quotient(J, extra[0])
+    for g in extra[1:]:
+        ann = intersect(ann, quotient(J, g))
+    dec = decompose(radical(ann), seed=seed)
     q_basis = tuple(base.q.groebner())
     out = []
     for comp in dec.components:

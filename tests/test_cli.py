@@ -105,6 +105,29 @@ def test_check_flat_regular_source(capsys):
     assert rep["payload"]["n"] == 3
 
 
+def test_check_flat_zero_module(tmp_path, capsys):
+    zero = tmp_path / "zero.flat"
+    zero.write_text(
+        "ring R = Q[y];\nmodule A over R = Q[y, x] / (1);\nassert analytically_irreducible;\n"
+    )
+    code, rep = run_json(["check-flat", str(zero)], capsys)
+    assert code == 0
+    assert rep["verdict"] == "FLAT"
+    assert rep["witness"] == []
+
+
+@pytest.mark.parametrize("name", ["douady", "cusp-second-cover"])
+def test_regular_source_decides_the_former_runaways(name, capsys):
+    # Decomposing the fibred cube of these inputs ran past any 10 s budget;
+    # the saturation test decides them without decomposing it.
+    code, rep = run_json(
+        ["check-flat-regular-source", problems.path(name), "--timeout", "10"], capsys
+    )
+    assert code == 0
+    assert rep["verdict"] == "NON_FLAT"
+    assert [w["prime"] for w in rep["witness"]] == [["y1", "y2", "x__1", "x__2"]]
+
+
 # -- ideal commands ---------------------------------------------------------------
 
 

@@ -208,6 +208,21 @@ def test_regular_source_blowup(plane_base, blowup_module):
     assert v.n == 3
 
 
+def test_zero_module_is_flat():
+    # F = Q[y, x]/<1> = 0: every fibred power is <1>, and the zero module is flat.
+    base_ring = PolyRing(("y",))
+    base = BaseRing.create(base_ring, Ideal(base_ring))
+    ring = PolyRing(("y", "x"))
+    module = ModuleSpec(ring, Ideal(ring, [ring.one()]), base)
+    J, _ = build_fibred_power(base, module, 1)
+    assert J.is_unit()
+    assert torsion_witnesses(J, base) == ([], 0)
+    asserted = FlatnessProblem(base, module, analytically_irreducible=True)
+    assert check_flatness(asserted).result == "FLAT"
+    assert check_flatness_regular_source(asserted).result == "FLAT"
+    assert check_flatness(FlatnessProblem(base, module)).result == "TORSION_FREE"
+
+
 def test_regular_source_identity():
     ring = PolyRing(("y",))
     base = BaseRing.create(ring, Ideal(ring))
