@@ -37,36 +37,36 @@ def _build_argparser():
         prog="flatcheck",
         description="Flatness testing over singular bases via torsion in fibred powers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
-        p = sub.add_parser(cmd)
-        p.add_argument("files", nargs="+", help="problem files (.flat)")
-        p.add_argument("--order", choices=("lex", "degrevlex"), default="degrevlex")
-        p.add_argument("--timeout", type=float, default=None, help="seconds")
-        p.add_argument("--max-degree", type=int, default=None)
-        p.add_argument("--max-pairs", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument(
-            "--waive-hypothesis",
-            action="append",
-            default=[],
-            metavar="NAME",
-            help="treat a failed hypothesis check as waived (recorded in the report)",
-        )
-        p.add_argument(
-            "--target",
-            choices=("ring", "module", "cover"),
-            default=None,
-            help="which declared ideal gb/primdec/eliminate/contract act on "
-            "(default: module if declared, else ring)",
-        )
-        p.add_argument(
-            "--vars",
-            default=None,
-            help="comma-separated variables to eliminate (eliminate command)",
-        )
-        p.add_argument("--jobs", type=int, default=1, help="process files in parallel")
+    parser.add_argument(
+        "command", choices=COMMANDS, metavar="command", help=", ".join(COMMANDS)
+    )
+    parser.add_argument("files", nargs="+", help="problem files (.flat)")
+    parser.add_argument("--order", choices=("lex", "degrevlex"), default="degrevlex")
+    parser.add_argument("--timeout", type=float, default=None, help="seconds")
+    parser.add_argument("--max-degree", type=int, default=None)
+    parser.add_argument("--max-pairs", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument(
+        "--waive-hypothesis",
+        action="append",
+        default=[],
+        metavar="NAME",
+        help="treat a failed hypothesis check as waived (recorded in the report)",
+    )
+    parser.add_argument(
+        "--target",
+        choices=("ring", "module", "cover"),
+        default=None,
+        help="which declared ideal gb/primdec/eliminate/contract act on "
+        "(default: module if declared, else ring)",
+    )
+    parser.add_argument(
+        "--vars",
+        default=None,
+        help="comma-separated variables to eliminate (eliminate command)",
+    )
+    parser.add_argument("--jobs", type=int, default=1, help="process files in parallel")
     return parser
 
 

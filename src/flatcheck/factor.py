@@ -3,7 +3,10 @@
 Pipeline: Yun squarefree decomposition, factorization modulo a suitable
 prime (distinct-degree plus Cantor-Zassenhaus equal-degree splitting),
 Hensel lifting past a Mignotte-style coefficient bound, and subset
-recombination.  Dense integer coefficient lists (low degree first) are
+recombination.  Recombination rejects most candidate subsets by a
+constant-term divisibility test (Abbott-Shoup-Zimmermann, ISSAC 2000)
+and tries the rest by integer trial division, which stops at the first
+inexact step.  Dense integer coefficient lists (low degree first) are
 used internally.  The public API speaks Polynomial, except
 `factor_squarefree`, which takes and returns dense Fraction lists for a
 caller that knows its input is squarefree and holds its coefficients.
@@ -21,7 +24,8 @@ from typing import List, Tuple
 from .errors import GuardExceeded, Guards, InvalidInput
 from .rings import Polynomial
 
-# Recombination tries at most this many subsets of the modular factors.
+# Recombination tries at most this many subsets of the modular factors;
+# a subset rejected by the constant-term test counts as tried.
 MAX_SUBSETS = 200000
 
 # -- dense helpers over Z / Q -------------------------------------------------
@@ -70,6 +74,28 @@ def _divmod_q(a, b):
             a[i + k] -= c * y
         _trim(a)
     return _trim(q), a
+
+
+def _exact_quotient_z(a, b):
+    """a / b over Z for integer lists (b nonzero), or None if b does not divide a.
+
+    For primitive b this is divisibility over Q as well (Gauss's lemma).
+    """
+    if b[0] and a[0] % b[0]:
+        return None
+    a = list(a)
+    lc = b[-1]
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        k = len(a) - len(b)
+        c, r = divmod(a[-1], lc)
+        if r:
+            return None
+        q[k] = c
+        for i, y in enumerate(b):
+            a[i + k] -= c * y
+        _trim(a)
+    return None if a else _trim(q)
 
 
 def _gcd_q(a, b):
@@ -344,6 +370,16 @@ def _factor_squarefree_z(f, seed=0):
             if tried > MAX_SUBSETS:
                 raise GuardExceeded("recombination")
             lc = current[-1]
+            # A true factor g of current = g*h lifts to exactly lc(h)*g, so
+            # its constant term divides lc(g)*lc(h)*g(0)*h(0) = lc*current[0].
+            if current[0]:
+                c0 = lc
+                for i in combo:
+                    c0 = c0 * lifted[i][0] % q
+                if c0 > q // 2:
+                    c0 -= q
+                if c0 == 0 or (lc * current[0]) % c0:
+                    continue
             cand = [lc % q]
             for i in combo:
                 cand = _mod_list(_mul(cand, lifted[i]), q)
@@ -351,15 +387,13 @@ def _factor_squarefree_z(f, seed=0):
             cand, _ = _primitive(_trim(list(cand)))
             if not cand:
                 continue
-            quo, rem = _divmod_q([Fraction(x) for x in current], [Fraction(x) for x in cand])
-            if not rem:
-                quo_int, den = _to_int(quo)
-                if den == 1:
-                    result.append(cand)
-                    current = quo_int
-                    remaining = [i for i in remaining if i not in combo]
-                    found = True
-                    break
+            quo = _exact_quotient_z(current, cand)
+            if quo is not None:
+                result.append(cand)
+                current = quo
+                remaining = [i for i in remaining if i not in combo]
+                found = True
+                break
         if not found:
             size += 1
     if _deg(current) >= 1:

@@ -309,6 +309,71 @@ def test_jobs_asks_for_no_more_workers_than_files(monkeypatch, capsys):
     assert "NON_FLAT" in out
 
 
+# -- argument parsing -------------------------------------------------------------
+
+FLAGS = (
+    "--order", "--timeout", "--max-degree", "--max-pairs", "--seed", "--format",
+    "--waive-hypothesis", "--target", "--vars", "--jobs",
+)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_command_parses(command):
+    args = cli._build_argparser().parse_args([command, "a.flat", "b.flat"])
+    assert args.command == command
+    assert args.files == ["a.flat", "b.flat"]
+
+
+def test_flags_parse_the_same_before_and_after_the_files():
+    flags = [
+        "--order", "lex", "--timeout", "2.5", "--max-degree", "7", "--max-pairs", "9",
+        "--seed", "3", "--format", "json", "--waive-hypothesis", "cover_smooth",
+        "--waive-hypothesis", "base_reduced", "--target", "cover", "--vars", "x,y",
+        "--jobs", "2",
+    ]
+    parser = cli._build_argparser()
+    after = parser.parse_args(["eliminate", "a.flat", "b.flat", *flags])
+    before = parser.parse_args(["eliminate", *flags, "a.flat", "b.flat"])
+    first = parser.parse_args([*flags, "eliminate", "a.flat", "b.flat"])
+    assert vars(before) == vars(after) == vars(first)
+    assert after.files == ["a.flat", "b.flat"]
+    assert after.waive_hypothesis == ["cover_smooth", "base_reduced"]
+    assert (after.order, after.timeout, after.max_degree, after.max_pairs) == ("lex", 2.5, 7, 9)
+    assert (after.seed, after.format, after.target, after.vars, after.jobs) == (
+        3, "json", "cover", "x,y", 2
+    )
+
+
+def test_flags_before_the_files_give_the_same_report(tiny_file, capsys):
+    _, after = run_json(["gb", tiny_file, "--order", "lex"], capsys)
+    _, before = run_json(["gb", "--order", "lex", tiny_file], capsys)
+    before.pop("timings")
+    after.pop("timings")
+    assert before == after
+    assert after["payload"]["order"] == "lex"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bogus", "a.flat"], ["check-flat"], []],
+    ids=["unknown-command", "no-files", "no-arguments"],
+)
+def test_bad_command_line_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: flatcheck" in capsys.readouterr().err
+
+
+def test_help_names_every_command_and_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in (*cli.COMMANDS, *FLAGS):
+        assert name in out
+
+
 def _run_module(module, argv=None, timeout=None):
     # The child imports the same flatcheck as this process, also when only
     # pytest's `pythonpath` setting put it on sys.path.

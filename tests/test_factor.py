@@ -6,8 +6,11 @@ from itertools import product
 
 import pytest
 
+from flatcheck import factor
 from flatcheck.errors import GuardExceeded, Guards, InvalidInput
 from flatcheck.factor import (
+    _divmod_q,
+    _exact_quotient_z,
     _factor_mod_p,
     factor_squarefree,
     factor_univariate,
@@ -252,13 +255,24 @@ def test_factor_agrees_with_oracle_on_random_inputs():
             assert irreducible == brute_force_irreducible(f.monic())
 
 
+# Swinnerton-Dyer polynomials of {2, 3, 5} and {2, 3, 5, 7}, highest degree
+# first: irreducible over Q, but they split into factors of degree <= 2
+# modulo every prime, so Hensel lifting and recombination have work to do.
+SWINNERTON_DYER = {
+    "sd-8": [1, 0, -40, 0, 352, 0, -960, 0, 576],
+    "sd-16": [1, 0, -136, 0, 6476, 0, -141912, 0, 1513334, 0, -7453176, 0,
+              13950764, 0, -5596840, 0, 46225],
+}
+
+
+def swinnerton_dyer(name):
+    coeffs = SWINNERTON_DYER[name]
+    n = len(coeffs) - 1
+    return sum((c * X ** (n - i) for i, c in enumerate(coeffs) if c), RING.zero())
+
+
 def test_timeout_trips_inside_factor_univariate():
-    # Swinnerton-Dyer polynomial of {2, 3, 5, 7}: irreducible over Q, but it
-    # splits into factors of degree <= 2 modulo every prime, so Hensel
-    # lifting and recombination have work to poll in.
-    coeffs = [1, 0, -136, 0, 6476, 0, -141912, 0, 1513334, 0, -7453176, 0,
-              13950764, 0, -5596840, 0, 46225]
-    f = sum((c * X ** (16 - i) for i, c in enumerate(coeffs) if c), RING.zero())
+    f = swinnerton_dyer("sd-16")
     with pytest.raises(GuardExceeded) as exc, Guards(timeout=0):
         factor_univariate(f)
     assert exc.value.guard == "time"
@@ -273,3 +287,95 @@ def test_timeout_trips_inside_cantor_zassenhaus():
         _factor_mod_p(f, p, random.Random(0))
     assert exc.value.guard == "time"
     assert sorted(_factor_mod_p(f, p, random.Random(0))) == [[p - 2, 1], [p - 1, 1]]
+
+
+# -- recombination: constant-term test and integer trial division -----------------
+
+
+@pytest.mark.parametrize("name", sorted(SWINNERTON_DYER))
+def test_swinnerton_dyer_stays_irreducible(name):
+    f = swinnerton_dyer(name)
+    fac = factor_univariate(f)
+    assert fac.factors == [(f, 1)]
+    assert fac.unit == 1
+
+
+def test_recombination_guard_counts_rejected_subsets(monkeypatch):
+    # sd-16 tries 162 subsets before it is proved irreducible.  Only 16 of
+    # them pass the constant-term test; the rejected ones count against
+    # the cap too, so a cap of 161 trips and a cap of 162 does not.
+    f = swinnerton_dyer("sd-16")
+    monkeypatch.setattr(factor, "MAX_SUBSETS", 162)
+    assert len(factor_univariate(f).factors) == 1
+    for cap in (161, 10):
+        monkeypatch.setattr(factor, "MAX_SUBSETS", cap)
+        with pytest.raises(GuardExceeded) as exc:
+            factor_univariate(f)
+        assert exc.value.guard == "recombination"
+
+
+def _random_int_poly(rng, d, zero_constant=False):
+    coeffs = [rng.randint(-20, 20) for _ in range(d)] + [rng.choice([-4, -3, -1, 1, 2, 5])]
+    if zero_constant:
+        coeffs[0] = 0
+    return coeffs
+
+
+def test_exact_quotient_agrees_with_rational_division():
+    rng = random.Random(12)
+    divisible = 0
+    for trial in range(300):
+        b = _random_int_poly(rng, rng.randint(1, 4), zero_constant=trial % 5 == 0)
+        b = factor._primitive(b)[0]
+        if trial % 2:
+            a = factor._mul(b, _random_int_poly(rng, rng.randint(0, 4)))
+        else:
+            a = _random_int_poly(rng, rng.randint(len(b) - 1, 8))
+        quo, rem = _divmod_q([Fraction(x) for x in a], [Fraction(x) for x in b])
+        got = _exact_quotient_z(a, b)
+        if rem:
+            assert got is None
+        else:
+            # b is primitive, so a quotient over Q is integral (Gauss).
+            assert [Fraction(x) for x in got] == quo
+            divisible += 1
+    assert 100 < divisible < 300
+
+
+def _sympy_monic_factors(sympy, x, coeffs):
+    """Multiset of sympy's monic factors, as (Fraction list, multiplicity)."""
+    f = sum(c * x**i for i, c in enumerate(coeffs))
+    _, factors = sympy.factor_list(f, x)
+    out = []
+    for g, m in factors:
+        dense = [Fraction(int(c)) for c in reversed(sympy.Poly(g, x).all_coeffs())]
+        out.append(([c / dense[-1] for c in dense], m))
+    return sorted(out)
+
+
+def test_recombination_matches_sympy_on_non_monic_products():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(31)
+    irreducibles = []
+    while len(irreducibles) < 40:
+        d = rng.randint(1, 6)
+        coeffs = [rng.randint(-9, 9) for _ in range(d)] + [rng.choice([-6, -4, -3, -2, 2, 3, 5])]
+        poly = sympy.Poly(list(reversed(coeffs)), x)
+        if coeffs[0] and poly.is_irreducible:
+            irreducibles.append(coeffs)
+    for trial in range(40):
+        parts = rng.sample(irreducibles, rng.randint(2, 4))
+        if trial % 4 == 0:
+            parts[-1] = [0, -1]  # the factor -x, so the constant term is 0
+        if trial % 5 == 1:
+            parts.append(parts[0])  # a repeated factor
+        coeffs = [1]
+        for g in parts:
+            coeffs = factor._mul(coeffs, g)
+        f = poly_from([Fraction(c) for c in coeffs])
+        fac = factor_univariate(f, seed=trial)
+        assert fac.reassemble() == f
+        got = sorted((coeffs_of(p), m) for p, m in fac.factors)
+        assert got == _sympy_monic_factors(sympy, x, coeffs)
+        assert sum(m for _, m in got) == len(parts)
