@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     FlatcheckError,
-    GenericityFailure,
     GuardExceeded,
     Guards,
     HypothesisViolation,

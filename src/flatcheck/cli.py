@@ -45,7 +45,8 @@ def _build_argparser():
     parser.add_argument("--timeout", type=float, default=None, help="seconds")
     parser.add_argument("--max-degree", type=int, default=None)
     parser.add_argument("--max-pairs", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="recorded in the report; changes no result")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(
         "--waive-hypothesis",
@@ -113,7 +114,7 @@ def _run_one(command, path, args):
                     )
             parsed = time.monotonic()
             if command == "hypotheses":
-                hyp = verify_hypotheses(problem, seed=seed)
+                hyp = verify_hypotheses(problem)
                 report = Report(
                     command=command,
                     hypotheses=hypothesis_entries(hyp),
@@ -121,10 +122,10 @@ def _run_one(command, path, args):
                     seed=seed,
                 )
             elif command == "check-flat":
-                verdict = check_flatness(problem, seed=seed)
+                verdict = check_flatness(problem)
                 report = from_verdict(command, verdict, guards_dict, seed)
             elif command == "check-flat-regular-source":
-                verdict = check_flatness_regular_source(problem, seed=seed)
+                verdict = check_flatness_regular_source(problem)
                 report = from_verdict(command, verdict, guards_dict, seed)
             else:
                 report = _ideal_command(command, pf, args, guards_dict)
@@ -157,7 +158,6 @@ def _run_one(command, path, args):
 
 def _ideal_command(command, pf, args, guards_dict):
     I = _target_ideal(pf, args)
-    seed = args.seed
     payload = {}
     if command == "gb":
         order = (
@@ -169,7 +169,7 @@ def _ideal_command(command, pf, args, guards_dict):
         payload["basis"] = [str(g) for g in gb]
         payload["order"] = args.order
     elif command == "primdec":
-        dec = decompose(I, seed=seed)
+        dec = decompose(I)
         payload["components"] = [
             {
                 "primary": [str(g) for g in c.primary.groebner()],
@@ -194,7 +194,7 @@ def _ideal_command(command, pf, args, guards_dict):
         payload["ring"] = list(base_ring.variables)
     else:  # pragma: no cover - argparse restricts the choices
         raise FlatcheckError(f"unknown command {command!r}")
-    return Report(command=command, guards=guards_dict, seed=seed, payload=payload)
+    return Report(command=command, guards=guards_dict, seed=args.seed, payload=payload)
 
 
 def _run_one_star(work):

@@ -83,10 +83,6 @@ class NotZeroDimensional(FlatcheckError):
     """Zero-dimensional decomposition called on a positive-dimensional ideal."""
 
 
-class GenericityFailure(FlatcheckError):
-    """All retries for a generic coordinate choice were exhausted."""
-
-
 class HypothesisViolation(FlatcheckError):
     """A machine-checkable hypothesis of the flatness criterion failed."""
 

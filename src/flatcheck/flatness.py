@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from .errors import GuardExceeded, HypothesisViolation, InvalidInput, VariableClash
+from .errors import (
+    FlatcheckError,
+    GuardExceeded,
+    HypothesisViolation,
+    InvalidInput,
+    VariableClash,
+)
 from .funcfield import derivative_in
 from .ideals import (
     Ideal,
@@ -153,7 +159,6 @@ class Verdict:
     hypotheses: HypothesisReport
     n: int
     power_overridden: bool
-    seed: int
     retries: int
     renames: Dict[str, str]
     timings: Dict[str, float] = field(default_factory=dict)
@@ -213,8 +218,8 @@ def build_fibred_power(base, module, n, cover=None):
 # -- torsion test ---------------------------------------------------------------
 
 
-def torsion_witnesses(J, base, seed=0):
-    """Minimal primes of the R-torsion T of Q[...]/J, and the retry count.
+def torsion_witnesses(J, base):
+    """Minimal primes of the R-torsion T of Q[...]/J, and the number of skipped forms.
 
     With z = independent_set(q), q meets Q[z] only in 0 and is prime, so
     R-torsion is Q[z]-torsion and T = (J : h^inf)/J, h being the
@@ -237,7 +242,7 @@ def torsion_witnesses(J, base, seed=0):
     ann = quotient(J, extra[0])
     for g in extra[1:]:
         ann = intersect(ann, quotient(J, g))
-    dec = decompose(radical(ann), seed=seed)
+    dec = decompose(radical(ann))
     q_basis = tuple(base.q.groebner())
     out = []
     for comp in dec.components:
@@ -277,7 +282,7 @@ def _det(m, ring):
     return out
 
 
-def verify_hypotheses(problem, seed=0):
+def verify_hypotheses(problem):
     base = problem.base
     cover = problem.cover or RegularCover.identity(base)
     checks = []
@@ -287,7 +292,7 @@ def verify_hypotheses(problem, seed=0):
         checks.append(HypothesisCheck("base_prime", "pass", "q = <0> in a domain"))
     else:
         try:
-            dec = decompose(base.q, seed=seed)
+            dec = decompose(base.q)
             comps = dec.components
             if len(comps) == 1 and comps[0].primary.equals(comps[0].prime):
                 checks.append(
@@ -303,7 +308,7 @@ def verify_hypotheses(problem, seed=0):
                 )
         except GuardExceeded:
             raise  # a tripped guard ends the run, it is not a verdict on q
-        except Exception as exc:  # decomposition failure is a failed check
+        except FlatcheckError as exc:  # a decomposition error on q fails the check
             checks.append(HypothesisCheck("base_prime", "fail", str(exc)))
 
     # Dimensions: dim q = n = dim L.
@@ -378,9 +383,9 @@ def verify_hypotheses(problem, seed=0):
 # -- the decision procedure -------------------------------------------------------
 
 
-def _run_pipeline(problem, n, cover, seed):
+def _run_pipeline(problem, n, cover):
     t0 = time.monotonic()
-    report = verify_hypotheses(problem, seed=seed)
+    report = verify_hypotheses(problem)
     t1 = time.monotonic()
     failures = report.failures()
     if failures:
@@ -389,7 +394,7 @@ def _run_pipeline(problem, n, cover, seed):
         )
     J, renames = build_fibred_power(problem.base, problem.module, n, cover)
     t2 = time.monotonic()
-    witnesses, retries = torsion_witnesses(J, problem.base, seed)
+    witnesses, retries = torsion_witnesses(J, problem.base)
     t3 = time.monotonic()
 
     waived_any = any(c.status == "waived" for c in report.checks)
@@ -419,7 +424,6 @@ def _run_pipeline(problem, n, cover, seed):
         hypotheses=report,
         n=n,
         power_overridden=problem.power is not None and problem.power != problem.base.n,
-        seed=seed,
         retries=retries,
         renames=renames,
         timings=timings,
@@ -427,14 +431,14 @@ def _run_pipeline(problem, n, cover, seed):
     )
 
 
-def check_flatness(problem, seed=0):
+def check_flatness(problem):
     """The main criterion: n-fold fibred power tensored with the cover."""
     n = problem.power if problem.power is not None else problem.base.n
     cover = problem.cover or RegularCover.identity(problem.base)
-    return _run_pipeline(problem, n, cover, seed)
+    return _run_pipeline(problem, n, cover)
 
 
-def check_flatness_regular_source(problem, seed=0):
+def check_flatness_regular_source(problem):
     """Regular-source variant: (n+1)-fold power, no cover."""
     n = problem.power if problem.power is not None else problem.base.n + 1
-    return _run_pipeline(problem, n, None, seed)
+    return _run_pipeline(problem, n, None)

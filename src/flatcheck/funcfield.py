@@ -472,6 +472,8 @@ def ff_factor_squarefree(m, t, params):
 def ff_factor(m, t, params):
     """Full factorization over Q(U): [(primitive irreducible, multiplicity)].
 
+    Sorted (stably) by multiplicity; no caller depends on the order.
+
     The squarefree part of m is factored once with `ff_factor_squarefree`.
     Each factor's multiplicity is the number of times it divides m: both
     are primitive in t, so by Gauss's lemma divisibility over Q(U) is
@@ -493,7 +495,5 @@ def ff_factor(m, t, params):
             rest = quotient
             mult += 1
         out.append((irr, mult))
-    # Stable, by multiplicity: the order decides which generic form the
-    # RNG hands to which branch in primdec._zero_dim_over_field.
     out.sort(key=lambda pair: pair[1])
     return out

@@ -1,32 +1,34 @@
 """Primary decomposition, associated primes, and radicals (GTZ style).
 
 Zero-dimensional ideals are split along the irreducible factors of the
-minimal polynomial of a seeded generic linear form.  A leaf, where that
-minimal polynomial is a power p^e of one irreducible p, is certified
-primary by the shape-position test on the same form: its radical
-(Seidenberg) is maximal when deg p equals the vector-space dimension of
-the radical's quotient.  Every ideal is reduced to the zero-dimensional
-case over Q(U) for a maximal independent set U (empty in dimension 0),
-using the block-order lead-coefficient lcm h (1 when U is empty) and the
-split I = (I : h^inf)  n  (I + <h^s>).
+minimal polynomial of a linear form.  The forms come from one fixed
+sequence (`_candidate_forms`): each dependent variable alone, then
+sum_i k^i x_i for k = 1, 2, ...  A leaf, where a form's minimal
+polynomial is a power p^e of one irreducible p, is certified primary by
+the shape-position test on that form: its radical (Seidenberg) is
+maximal when deg p equals the vector-space dimension of the radical's
+quotient.  A form that fails the test is skipped for the next one, and
+the sequence reaches a separating form after finitely many.  Every
+ideal is reduced to the zero-dimensional case over Q(U) for a maximal
+independent set U (empty in dimension 0), using the block-order
+lead-coefficient lcm h (1 when U is empty) and the split
+I = (I : h^inf)  n  (I + <h^s>).
 
 `radical` uses the same split without decomposing:
 rad(I) = rad(I : h^inf)  n  rad(I + <h>), where the first radical comes
 from the squarefree parts of the eliminants over Q(U) (Seidenberg) and
-the second by recursion.  It factors nothing and draws no random numbers.
+the second by recursion.  It factors nothing.
 
-Everything is deterministic given (input, seed); generic choices that
-fail are retried with a bounded budget.
+Every result is a function of the input ideal alone.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import List
 
-from .errors import GenericityFailure, InvalidInput, NotZeroDimensional
+from .errors import InvalidInput, NotZeroDimensional
 from .funcfield import (
     derivative_in,
     exact_divide,
@@ -49,10 +51,6 @@ from .ideals import (
 from .orders import MonomialOrder
 from .rings import Polynomial, VarMap
 
-# Generic redraws allowed before a decomposition gives up.
-RETRIES = 8
-
-
 @dataclass(frozen=True)
 class PrimaryComponent:
     primary: Ideal
@@ -62,11 +60,7 @@ class PrimaryComponent:
 @dataclass
 class Decomposition:
     components: List[PrimaryComponent]
-    retries: int  # generic redraws consumed before success
-
-
-class _Retry(Exception):
-    """A generic choice failed a certificate; redraw and restart."""
+    retries: int  # candidate forms that failed a leaf certificate
 
 
 # -- minimal polynomials via elimination ----------------------------------------
@@ -217,12 +211,22 @@ def _contract(I, params):
 # -- zero-dimensional decomposition over Q(params) --------------------------------
 
 
-def _generic_form(ring, dep_names, rng):
-    f = ring.zero()
-    for v in dep_names:
-        c = rng.choice([1, -1]) * rng.randint(1, 7)
-        f = f + ring.const(c) * ring.var(v)
-    return f
+def _candidate_forms(ring, dep_names):
+    """The fixed sequence of linear forms a leaf tries, sparsest first.
+
+    Each dependent variable alone, from the last to the first, then
+    sum_i k^i x_i for k = 1, 2, 3, ...  The sequence reaches a form that
+    separates the D points of V(J) over the algebraic closure of
+    Q(params): for two distinct points P and Q, sum_i k^i (P_i - Q_i) is a
+    non-zero polynomial in k of degree at most n - 1 (n dependent
+    variables), so at most (n - 1) D (D - 1) / 2 values of k fail to
+    separate some pair.  On a separating form the leaf either splits or
+    passes its certificate, so no leaf tries forms forever.
+    """
+    xs = [ring.var(v) for v in dep_names]
+    yield from reversed(xs)
+    for k in itertools.count(1):
+        yield sum((ring.const(k**i) * x for i, x in enumerate(xs)), ring.zero())
 
 
 def _radical_over_field(I, params):
@@ -247,15 +251,18 @@ def _reduced(I):
     return out
 
 
-def _zero_dim_over_field(I, params, rng):
+def _zero_dim_over_field(I, params):
     """Primary components of I, zero-dimensional over Q(params).
 
-    For params != (), I must already equal the contraction of its own
-    Q(params)-extension (i.e. be saturated by the lead-coefficient lcm).
+    Returns them with the number of candidate forms that failed a leaf
+    certificate.  For params != (), I must already equal the contraction
+    of its own Q(params)-extension (i.e. be saturated by the
+    lead-coefficient lcm).
     """
     ring = I.ring
     deps = [v for v in ring.variables if v not in params]
     out = []
+    skipped = 0
     stack = [I]
     while stack:
         J = stack.pop()
@@ -264,45 +271,44 @@ def _zero_dim_over_field(I, params, rng):
         # Re-present by the reduced basis: split branches otherwise carry
         # huge raw generators into every elimination below.
         J = _reduced(J)
-        form = _generic_form(ring, deps, rng)
-        m, tname = _minimal_polynomial(J, form, params)
-        factors = ff_factor(m, tname, [v for v in m.ring.variables if v != tname])
-        if len(factors) == 1:
+        prime = None
+        for form in _candidate_forms(ring, deps):
+            m, tname = _minimal_polynomial(J, form, params)
+            factors = ff_factor(m, tname, [v for v in m.ring.variables if v != tname])
+            if len(factors) > 1:
+                for f, e in factors:
+                    fe = _substitute_form(f, tname, form, ring) ** e
+                    sub = ideal_sum(J, Ideal(ring, [fe]))
+                    if params:
+                        sub = _contract(sub, params)
+                    stack.append(sub)
+                break
+            if prime is None:
+                prime = _radical_over_field(J, params)
+                dim = vector_space_dimension(prime, params)
             # With K = Q(params) and P the radical of J, K[form] = K[t]/(p)
             # is a field inside K[x]/P.  Equal K-dimensions make the two
             # equal, so P is maximal over K; being contracted, P is prime
             # in Q[x], and J is P-primary.
-            p, _ = factors[0]
-            prime = _radical_over_field(J, params)
-            if p.degree_in(tname) != vector_space_dimension(prime, params):
-                raise _Retry("projection form is not separating")
-            out.append(PrimaryComponent(_reduced(J), _reduced(prime)))
-            continue
-        for f, e in factors:
-            fe = _substitute_form(f, tname, form, ring) ** e
-            sub = ideal_sum(J, Ideal(ring, [fe]))
-            if params:
-                sub = _contract(sub, params)
-            stack.append(sub)
-    return out
-
-
-def _with_retries(fn, seed):
-    last = None
-    for attempt in range(RETRIES):
-        rng = random.Random(1_000_003 * seed + attempt)
-        try:
-            return fn(rng), attempt
-        except _Retry as exc:
-            last = exc
-    raise GenericityFailure(f"retry budget exhausted: {last}")
+            ((p, _),) = factors
+            if p.degree_in(tname) == dim:
+                out.append(PrimaryComponent(J, _reduced(prime)))
+                break
+            skipped += 1
+    return out, skipped
 
 
 # -- general decomposition ---------------------------------------------------------
 
 
-def _decompose_once(I, rng):
+def decompose(I):
+    """Irredundant primary decomposition in any dimension."""
+    if I.is_zero():
+        return Decomposition([PrimaryComponent(I, I)], 0)
+    if I.is_unit():
+        raise InvalidInput("decomposition of the unit ideal")
     comps = []
+    skipped = 0
     stack = [I]
     while stack:
         J = stack.pop()
@@ -313,20 +319,12 @@ def _decompose_once(I, rng):
         h = _lead_coefficient_lcm(J, U)
         J1, s = (J, 0) if h.is_constant() else saturate(J, h)
         if not J1.is_unit():
-            comps.extend(_zero_dim_over_field(J1, U, rng))
+            leaves, failed = _zero_dim_over_field(J1, U)
+            comps.extend(leaves)
+            skipped += failed
         if s > 0:
             stack.append(ideal_sum(J, Ideal(J.ring, [h**s])))
-    return comps
-
-
-def decompose(I, seed=0):
-    """Irredundant primary decomposition in any dimension."""
-    if I.is_zero():
-        return Decomposition([PrimaryComponent(I, I)], 0)
-    if I.is_unit():
-        raise InvalidInput("decomposition of the unit ideal")
-    comps, attempts = _with_retries(lambda rng: _decompose_once(I, rng), seed)
-    return Decomposition(_irredundant(comps), attempts)
+    return Decomposition(_irredundant(comps), skipped)
 
 
 def _prime_key(P):
@@ -362,17 +360,17 @@ def _irredundant(comps):
     return items
 
 
-def associated_primes(I, seed=0):
+def associated_primes(I):
     """Ass of ring/I, embedded primes included, canonically sorted."""
-    dec = decompose(I, seed)
+    dec = decompose(I)
     return [c.prime for c in dec.components]
 
 
 def radical(I):
     """Radical of I, by the split rad(I) = rad(I : h^inf) n rad(I + <h>).
 
-    No factoring and no random choice: rad(I : h^inf) is the Seidenberg
-    radical over Q(U) for a maximal independent set U, contracted back.
+    No factoring: rad(I : h^inf) is the Seidenberg radical over Q(U) for
+    a maximal independent set U, contracted back.
     The recursion ends because h is in Q[U] \\ {0}, so h is not in rad(I)
     and each step strictly enlarges the radical.
     """

@@ -2,7 +2,7 @@
 
 import pytest
 
-from flatcheck import problems
+from flatcheck import flatness, problems
 from flatcheck.dsl import build_problem, parse_problem
 from flatcheck.errors import GuardExceeded, Guards, HypothesisViolation, InvalidInput
 from flatcheck.flatness import (
@@ -257,6 +257,18 @@ def test_verify_hypotheses_lets_guard_trips_through():
     with pytest.raises(GuardExceeded) as exc, Guards(max_degree=1):
         verify_hypotheses(problem)
     assert exc.value.guard == "degree"
+
+
+def test_verify_hypotheses_lets_internal_errors_through(monkeypatch):
+    # Only a decomposition error on q is a failed base_prime; a bug in the
+    # program must surface as itself, not as a verdict on q.
+    def broken(I):
+        raise TypeError("internal error")
+
+    monkeypatch.setattr(flatness, "decompose", broken)
+    problem = build_problem(parse_problem(problems.read("douady")))
+    with pytest.raises(TypeError, match="internal error"):
+        verify_hypotheses(problem)
 
 
 def test_reducible_base_fails():

@@ -77,8 +77,8 @@ def test_report_matches_golden(case):
 CORPUS = ("douady", "blowup", "xy-collapse", "free-module", "cusp-second-cover",
           "douady-no-cover")
 
-# Generic forms are drawn from the seed, so a change in how many forms a
-# decomposition draws shows up here as well as in the golden files.
+# `--seed` is only recorded in the report: every other key must be the same
+# for every seed.
 SEED_CASES = (
     [("check-flat", name,
       ("--waive-hypothesis", "cover_smooth") if name == "douady-no-cover" else ())

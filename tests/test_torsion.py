@@ -14,7 +14,7 @@ from conftest import random_poly
 
 from flatcheck import flatness, problems
 from flatcheck.dsl import build_problem, parse_problem
-from flatcheck.errors import GuardExceeded, Guards
+from flatcheck.errors import Guards
 from flatcheck.flatness import (
     BaseRing,
     ModuleSpec,
@@ -37,12 +37,12 @@ def _key(P):
     return tuple(str(g) for g in P.groebner())
 
 
-def _oracle_keys(J, base, seed):
+def _oracle_keys(J, base):
     """Minimal associated primes of J contracting strictly past q."""
     if J.is_unit():
         return []
     q_basis = tuple(base.q.groebner())
-    past_q = [P for P in associated_primes(J, seed)
+    past_q = [P for P in associated_primes(J)
               if tuple(contract_to_base(P, base.ring).groebner()) != q_basis]
     minimal = [P for P in past_q
                if not any(Q is not P and P.contains_ideal(Q) and not Q.contains_ideal(P)
@@ -64,24 +64,23 @@ def _fibred_power(problem, variant, n):
     return build_fibred_power(problem.base, problem.module, n, cover)[0]
 
 
-# Under the regular-source variant douady and cusp-second-cover are the
-# runaway inputs: the oracle's decomposition of their fibred cube does not
-# finish.  douady-no-cover has douady's module and that variant uses no
-# cover, so its J is douady's.
+# douady-no-cover has douady's module and the regular-source variant uses
+# no cover, so under that variant its J is douady's.
 ORACLE_CASES = [
     (variant, name) for variant in VARIANTS for name in CORPUS
-    if variant == "check-flat" or name in ("blowup", "xy-collapse", "free-module")
+    if variant == "check-flat" or name != "douady-no-cover"
 ]
 
 
 @pytest.mark.parametrize("variant,name", ORACLE_CASES)
 def test_corpus_witnesses_match_the_decomposition(variant, name):
     problem = _corpus_problem(name)
-    for seed in (0, 1, 2):
-        verdict = VARIANTS[variant](problem, seed=seed)
-        expected = _oracle_keys(_fibred_power(problem, variant, verdict.n), problem.base, seed)
-        assert sorted(_key(w.prime) for w in verdict.witnesses) == expected
-        assert (verdict.result == "NON_FLAT") == bool(expected)
+    verdict = VARIANTS[variant](problem)
+    J = _fibred_power(problem, variant, verdict.n)
+    with Guards(timeout=5):
+        expected = _oracle_keys(J, problem.base)
+    assert sorted(_key(w.prime) for w in verdict.witnesses) == expected
+    assert (verdict.result == "NON_FLAT") == bool(expected)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -92,14 +91,14 @@ def test_fibred_power_is_never_decomposed(variant, name, monkeypatch):
     fibred_powers, decomposed = [], []
     real_torsion, real_decompose = flatness.torsion_witnesses, flatness.decompose
 
-    def torsion(J, base, seed=0):
+    def torsion(J, base):
         fibred_powers.append(J)
-        return real_torsion(J, base, seed)
+        return real_torsion(J, base)
 
-    def decompose(I, seed=0):
+    def decompose(I):
         if fibred_powers:
             decomposed.append(I)
-        return real_decompose(I, seed)
+        return real_decompose(I)
 
     monkeypatch.setattr(flatness, "torsion_witnesses", torsion)
     monkeypatch.setattr(flatness, "decompose", decompose)
@@ -132,7 +131,6 @@ RANDOM_BASES = _random_bases()
 def test_random_module_witnesses_match_the_decomposition(case):
     rng = random.Random(case)
     base, cover = RANDOM_BASES[case % 3]
-    seed = case // 3 % 3
     ring = PolyRing(base.ring.variables + ("x",))
     gens = [ring.transport(g) for g in base.q.generators]
     gens += [random_poly(ring, rng, max_terms=3, max_deg=2, max_coeff=3)
@@ -140,12 +138,7 @@ def test_random_module_witnesses_match_the_decomposition(case):
     module = ModuleSpec(ring, Ideal(ring, gens), base)
     J, _ = build_fibred_power(base, module, base.n, cover)
     with Guards(timeout=2):
-        witnesses, _ = torsion_witnesses(J, base, seed)
-    try:
-        with Guards(timeout=2):
-            expected = _oracle_keys(J, base, seed)
-    except GuardExceeded:
-        # The oracle decomposes all of J; on a few cusp modules its generic
-        # forms swell past the guard.  Only the oracle is cut short here.
-        pytest.skip("oracle decomposition of J hit its time guard")
+        witnesses, _ = torsion_witnesses(J, base)
+    with Guards(timeout=2):
+        expected = _oracle_keys(J, base)
     assert sorted(_key(w.prime) for w in witnesses) == expected
