@@ -18,7 +18,7 @@ from .flatness import check_flatness, check_flatness_regular_source, verify_hypo
 from .ideals import Ideal, contract_to_base, eliminate
 from .orders import MonomialOrder
 from .primdec import decompose
-from .report import Report, from_verdict, hypothesis_entries, render_report
+from .report import Report, render_report
 from .rings import PolyRing
 
 COMMANDS = (
@@ -94,13 +94,13 @@ def _run_one(command, path, args):
     The report's timings carry `parse` (reading the file, parsing it and,
     for the flatness commands, building the problem, module radical
     included) and `total`, from the start of the read to the finished
-    report.
+    report.  A failed run gets a fresh report, so a half-filled one never
+    leaks out.
     """
     guards = Guards(
         max_pairs=args.max_pairs, max_degree=args.max_degree, timeout=args.timeout
     )
-    guards_dict = dataclasses.asdict(guards)
-    seed = args.seed
+    report = Report(command, guards=dataclasses.asdict(guards), seed=args.seed)
     try:
         with guards:
             start = time.monotonic()
@@ -114,21 +114,14 @@ def _run_one(command, path, args):
                     )
             parsed = time.monotonic()
             if command == "hypotheses":
-                hyp = verify_hypotheses(problem)
-                report = Report(
-                    command=command,
-                    hypotheses=hypothesis_entries(hyp),
-                    guards=guards_dict,
-                    seed=seed,
-                )
+                checks = verify_hypotheses(problem)
+                report.hypotheses = [dataclasses.asdict(c) for c in checks]
             elif command == "check-flat":
-                verdict = check_flatness(problem)
-                report = from_verdict(command, verdict, guards_dict, seed)
+                report.add_verdict(check_flatness(problem))
             elif command == "check-flat-regular-source":
-                verdict = check_flatness_regular_source(problem)
-                report = from_verdict(command, verdict, guards_dict, seed)
+                report.add_verdict(check_flatness_regular_source(problem))
             else:
-                report = _ideal_command(command, pf, args, guards_dict)
+                report.payload = _ideal_command(command, pf, args)
             report.timings = {
                 "parse": parsed - start,
                 **report.timings,
@@ -136,27 +129,16 @@ def _run_one(command, path, args):
             }
         return report, 0
     except GuardExceeded as exc:
-        guards_dict = dict(guards_dict, tripped=exc.guard)
-        report = Report(
-            command=command,
-            status="guard_exceeded",
-            guards=guards_dict,
-            seed=seed,
-            error=str(exc),
-        )
-        return report, 3
+        guards_dict = dict(report.guards, tripped=exc.guard)
+        return Report(command, "guard_exceeded", guards=guards_dict, seed=args.seed,
+                      error=str(exc)), 3
     except (FlatcheckError, OSError, UnicodeDecodeError) as exc:
-        report = Report(
-            command=command,
-            status="error",
-            guards=guards_dict,
-            seed=seed,
-            error=f"{path}: {exc}",
-        )
-        return report, 2
+        return Report(command, "error", guards=report.guards, seed=args.seed,
+                      error=f"{path}: {exc}"), 2
 
 
-def _ideal_command(command, pf, args, guards_dict):
+def _ideal_command(command, pf, args):
+    """The payload of a standalone ideal command."""
     I = _target_ideal(pf, args)
     payload = {}
     if command == "gb":
@@ -194,7 +176,7 @@ def _ideal_command(command, pf, args, guards_dict):
         payload["ring"] = list(base_ring.variables)
     else:  # pragma: no cover - argparse restricts the choices
         raise FlatcheckError(f"unknown command {command!r}")
-    return Report(command=command, guards=guards_dict, seed=args.seed, payload=payload)
+    return payload
 
 
 def _run_one_star(work):

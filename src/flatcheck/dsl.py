@@ -93,7 +93,6 @@ class RingDecl:
     over: Optional[str]  # None for `ring`, base name for module/cover
     kind: str  # ring | module | cover
     radical_requested: bool
-    span: Tuple[int, int]  # (line, column) of the declaring keyword
 
 
 @dataclass
@@ -185,7 +184,7 @@ class _Parser:
                 kw.line,
                 kw.column,
             )
-        decl = RingDecl(name, variables, gens, None, "ring", False, (kw.line, kw.column))
+        decl = RingDecl(name, variables, gens, None, "ring", False)
         self._declare(pf, decl)
         if pf.base_name is None:
             pf.base_name = name
@@ -217,9 +216,7 @@ class _Parser:
                 kw.column,
             )
         self.expect(";")
-        decl = RingDecl(
-            name, variables, gens, over, kind, radical, (kw.line, kw.column)
-        )
+        decl = RingDecl(name, variables, gens, over, kind, radical)
         self._declare(pf, decl)
         if kind == "module":
             if pf.module_name is not None:

@@ -42,7 +42,7 @@ from .ideals import (
     quotient,
 )
 from .primdec import _contract, decompose, radical
-from .rings import PolyRing, VarMap
+from .rings import Polynomial, PolyRing
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,14 @@ class BaseRing:
     ring: PolyRing
     q: Ideal
     n: int
-    n_overridden: bool = False
 
     @classmethod
-    def create(cls, ring, q, n=None):
+    def create(cls, ring, q):
         if q.ring != ring:
             raise VariableClash("defining ideal outside the base ring")
         if q.is_unit():
             raise InvalidInput("base defining ideal is the unit ideal")
-        computed = dimension(q)
-        if n is None:
-            return cls(ring, q, computed, False)
-        return cls(ring, q, n, n != computed)
+        return cls(ring, q, dimension(q))
 
 
 @dataclass(frozen=True)
@@ -132,20 +128,6 @@ class HypothesisCheck:
     detail: str
 
 
-@dataclass
-class HypothesisReport:
-    checks: List[HypothesisCheck]
-
-    def failures(self):
-        return [c.name for c in self.checks if c.status == "fail"]
-
-    def get(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
 @dataclass(frozen=True)
 class Witness:
     prime: Ideal
@@ -156,7 +138,7 @@ class Witness:
 class Verdict:
     result: str  # FLAT | NON_FLAT | TORSION_FREE
     witnesses: List[Witness]
-    hypotheses: HypothesisReport
+    hypotheses: List[HypothesisCheck]
     n: int
     power_overridden: bool
     retries: int
@@ -201,18 +183,16 @@ def build_fibred_power(base, module, n, cover=None):
     big = PolyRing(names)
     gens = [big.transport(g) for g in base.q.generators]
     for labelling in copies:
-        images = {v: big.var(v) for v in y}
-        images.update({v: big.var(labelling[v]) for v in xs})
-        relabel = VarMap(module.ring, big, images)
-        gens.extend(relabel(g) for g in module.I.generators)
+        gens.extend(_renamed(module.I, labelling, big))
     if cover is not None:
-        images = {v: big.var(v) for v in y}
-        images.update(
-            {v: big.var(renames.get(v, v)) for v in cover.cover_vars}
-        )
-        extend = VarMap(cover.ring, big, images)
-        gens.extend(extend(g) for g in cover.L.generators)
+        gens.extend(_renamed(cover.L, renames, big))
     return Ideal(big, gens), renames
+
+
+def _renamed(ideal, names, big):
+    """The generators of ideal in big, each variable v renamed names.get(v, v)."""
+    ring = PolyRing([names.get(v, v) for v in ideal.ring.variables])
+    return [big.transport(Polynomial(ring, g.terms)) for g in ideal.generators]
 
 
 # -- torsion test ---------------------------------------------------------------
@@ -282,86 +262,73 @@ def _det(m, ring):
     return out
 
 
+def _base_prime(base, cover):
+    """q is prime: a single component whose primary equals its prime."""
+    if base.q.is_zero():
+        return True, "q = <0> in a domain"
+    try:
+        comps = decompose(base.q).components
+    except GuardExceeded:
+        raise  # a tripped guard ends the run, it is not a verdict on q
+    except FlatcheckError as exc:  # a decomposition error on q fails the check
+        return False, str(exc)
+    if len(comps) == 1 and comps[0].primary.equals(comps[0].prime):
+        return True, "q has a single prime component"
+    return False, f"q has {len(comps)} primary components"
+
+
+def _dimensions(base, cover):
+    """dim q = n = dim L."""
+    dim_q, dim_l = dimension(base.q), dimension(cover.L)
+    if dim_q == base.n == dim_l:
+        return True, f"dim q = dim L = n = {base.n}"
+    return False, f"dim q = {dim_q}, n = {base.n}, dim L = {dim_l}"
+
+
+def _cover_dominant(base, cover):
+    """Eliminating the cover variables from L recovers exactly q."""
+    ker = contract_to_base(cover.L, base.ring)
+    if ker.equals(base.q):
+        return True, "contraction of L equals q"
+    return False, f"contraction of L is {ker}, not q"
+
+
+def _cover_smooth(base, cover):
+    """The Jacobian minors at the expected codimension and L generate <1>."""
+    codim = cover.ring.nvars - base.n
+    if cover.L.is_zero() and codim == 0:
+        return True, "L = <0>, affine space"
+    if codim < 0:
+        return False, "cover dimension exceeds ring arity"
+    if ideal_sum(_jacobian_minor_ideal(cover.L, codim), cover.L).is_unit():
+        return True, "Jacobian minors + L generate <1>"
+    return False, "Jacobian minors + L are not the unit ideal"
+
+
+# The machine-checked hypotheses of the criterion, in report order.  Each
+# check takes the base and the cover (the identity cover if none is given)
+# and returns (ok, detail).
+HYPOTHESES = (
+    ("base_prime", _base_prime),
+    ("dimensions", _dimensions),
+    ("cover_dominant", _cover_dominant),
+    ("cover_smooth", _cover_smooth),
+)
+
+
 def verify_hypotheses(problem):
+    """One HypothesisCheck per entry of HYPOTHESES, in order, then the
+    user's analytic-irreducibility assertion, which is never machine-checked.
+
+    A failed check the problem waives reads `waived` instead of `fail`.
+    """
     base = problem.base
     cover = problem.cover or RegularCover.identity(base)
     checks = []
-
-    # q prime: a single component whose primary equals its prime.
-    if base.q.is_zero():
-        checks.append(HypothesisCheck("base_prime", "pass", "q = <0> in a domain"))
-    else:
-        try:
-            dec = decompose(base.q)
-            comps = dec.components
-            if len(comps) == 1 and comps[0].primary.equals(comps[0].prime):
-                checks.append(
-                    HypothesisCheck("base_prime", "pass", "q has a single prime component")
-                )
-            else:
-                checks.append(
-                    HypothesisCheck(
-                        "base_prime",
-                        "fail",
-                        f"q has {len(comps)} primary components",
-                    )
-                )
-        except GuardExceeded:
-            raise  # a tripped guard ends the run, it is not a verdict on q
-        except FlatcheckError as exc:  # a decomposition error on q fails the check
-            checks.append(HypothesisCheck("base_prime", "fail", str(exc)))
-
-    # Dimensions: dim q = n = dim L.
-    dim_q = dimension(base.q)
-    dim_l = dimension(cover.L)
-    if dim_q == base.n == dim_l:
-        checks.append(
-            HypothesisCheck("dimensions", "pass", f"dim q = dim L = n = {base.n}")
-        )
-    else:
-        checks.append(
-            HypothesisCheck(
-                "dimensions",
-                "fail",
-                f"dim q = {dim_q}, n = {base.n}, dim L = {dim_l}",
-            )
-        )
-
-    # Dominance: eliminating the cover variables from L recovers exactly q.
-    ker = contract_to_base(cover.L, base.ring)
-    if ker.equals(base.q):
-        checks.append(HypothesisCheck("cover_dominant", "pass", "contraction of L equals q"))
-    else:
-        checks.append(
-            HypothesisCheck(
-                "cover_dominant", "fail", f"contraction of L is {ker}, not q"
-            )
-        )
-
-    # Smoothness: Jacobian minors at the expected codimension plus L = <1>.
-    codim = cover.ring.nvars - base.n
-    if cover.L.is_zero() and codim == 0:
-        checks.append(HypothesisCheck("cover_smooth", "pass", "L = <0>, affine space"))
-    elif codim < 0:
-        checks.append(
-            HypothesisCheck("cover_smooth", "fail", "cover dimension exceeds ring arity")
-        )
-    else:
-        minors = _jacobian_minor_ideal(cover.L, codim)
-        if ideal_sum(minors, cover.L).is_unit():
-            checks.append(
-                HypothesisCheck(
-                    "cover_smooth", "pass", "Jacobian minors + L generate <1>"
-                )
-            )
-        else:
-            checks.append(
-                HypothesisCheck(
-                    "cover_smooth", "fail", "Jacobian minors + L are not the unit ideal"
-                )
-            )
-
-    # Analytic local irreducibility can only be asserted by the user.
+    for name, check in HYPOTHESES:
+        ok, detail = check(base, cover)
+        status = "pass" if ok else "waived" if name in problem.waived else "fail"
+        checks.append(HypothesisCheck(name, status, detail))
     checks.append(
         HypothesisCheck(
             "analytically_irreducible",
@@ -369,15 +336,7 @@ def verify_hypotheses(problem):
             "user-asserted; never machine-verified",
         )
     )
-
-    # Mark waived failures.
-    final = []
-    for c in checks:
-        if c.status == "fail" and c.name in problem.waived:
-            final.append(HypothesisCheck(c.name, "waived", c.detail))
-        else:
-            final.append(c)
-    return HypothesisReport(final)
+    return checks
 
 
 # -- the decision procedure -------------------------------------------------------
@@ -385,9 +344,9 @@ def verify_hypotheses(problem):
 
 def _run_pipeline(problem, n, cover):
     t0 = time.monotonic()
-    report = verify_hypotheses(problem)
+    checks = verify_hypotheses(problem)
     t1 = time.monotonic()
-    failures = report.failures()
+    failures = [c.name for c in checks if c.status == "fail"]
     if failures:
         raise HypothesisViolation(
             failures[0], f"hypothesis checks failed: {', '.join(failures)}"
@@ -397,7 +356,7 @@ def _run_pipeline(problem, n, cover):
     witnesses, retries = torsion_witnesses(J, problem.base)
     t3 = time.monotonic()
 
-    waived_any = any(c.status == "waived" for c in report.checks)
+    waived_any = any(c.status == "waived" for c in checks)
     note = ""
     if witnesses:
         result = "NON_FLAT"
@@ -405,23 +364,16 @@ def _run_pipeline(problem, n, cover):
         result = "FLAT"
     else:
         result = "TORSION_FREE"
-        note = (
-            "torsion-free, but flatness is not concluded: "
-            + (
-                "a failed hypothesis was waived"
-                if waived_any
-                else "analytic irreducibility of the base was not asserted"
-            )
+        note = "torsion-free, but flatness is not concluded: " + (
+            "a failed hypothesis was waived"
+            if waived_any
+            else "analytic irreducibility of the base was not asserted"
         )
-    timings = {
-        "hypotheses": t1 - t0,
-        "build": t2 - t1,
-        "decompose": t3 - t2,
-    }
+    timings = {"hypotheses": t1 - t0, "build": t2 - t1, "decompose": t3 - t2}
     return Verdict(
         result=result,
         witnesses=witnesses,
-        hypotheses=report,
+        hypotheses=checks,
         n=n,
         power_overridden=problem.power is not None and problem.power != problem.base.n,
         retries=retries,

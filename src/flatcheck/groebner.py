@@ -221,6 +221,7 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
     # the heap order is a total order and the lcms are never compared.
     pairs = []
     for j in range(1, len(G)):
+        guards.check_time()
         for i in range(j):
             L = pack(lcm(exponents[i], exponents[j]))
             pairs.append((L & DEGREE_MASK, i, j, L))
@@ -263,6 +264,7 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
         exponents.append(exponent)
         new = len(G) - 1
         for k in range(new):
+            guards.check_time()
             L = pack(lcm(exponents[k], exponent))
             heapq.heappush(pairs, (L & DEGREE_MASK, k, new, L))
     return G

@@ -196,7 +196,8 @@ def dimension(I):
 def independent_set(I):
     """First maximal independent variable set of LT(I), as a name tuple.
 
-    Sets are scanned largest first, in `combinations` order within a size.
+    Sets are scanned largest first, in `combinations` order within a size,
+    polling the time guard per set: there are up to 2^n of them.
     None for the unit ideal.
     """
     ring = I.ring
@@ -205,9 +206,11 @@ def independent_set(I):
         return None
     lms = [g.leading_term(gb.order)[0] for g in gb]
     n = ring.nvars
+    check = Guards.current().check_time
     # U independent iff no leading monomial is supported entirely inside U.
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
+            check()
             s = set(subset)
             if all(any(e and i not in s for i, e in enumerate(lm)) for lm in lms):
                 return tuple(ring.variables[i] for i in subset)

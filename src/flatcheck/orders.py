@@ -31,7 +31,7 @@ from operator import mul
 from struct import Struct
 
 from . import _kernels
-from .errors import InvalidInput, VariableClash
+from .errors import Guards, InvalidInput, VariableClash
 
 FIELD_BITS = 32  # MonomialOrder reads keys as 32-bit words
 DEGREE_MASK = (1 << FIELD_BITS) - 1
@@ -73,9 +73,12 @@ class MonomialOrder:
                 fields.extend((i,) for i in ix)
         fields.extend((i,) for i in range(nvars))
         fields.append(tuple(range(nvars)))
+        # O(n^2) bits in all for n variables: poll the time guard per field.
+        check = Guards.current().check_time
         weights = [0] * nvars
         shift = FIELD_BITS * len(fields)
         for summed in fields:
+            check()
             shift -= FIELD_BITS
             for i in summed:
                 weights[i] |= 1 << shift

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
 
 from . import __version__
@@ -17,7 +17,7 @@ class Report:
     status: str = "ok"  # ok | error | guard_exceeded
     verdict: Optional[str] = None
     witness: list = field(default_factory=list)  # [{prime: [...], contraction: [...]}]
-    hypotheses: list = field(default_factory=list)
+    hypotheses: list = field(default_factory=list)  # [{name, status, detail}]
     guards: Dict[str, Any] = field(default_factory=dict)
     seed: int = 0
     timings: Dict[str, float] = field(default_factory=dict)
@@ -26,58 +26,30 @@ class Report:
     error: str = ""
 
     def to_dict(self):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "command": self.command,
-            "status": self.status,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "hypotheses": self.hypotheses,
-            "guards": self.guards,
-            "seed": self.seed,
-            "timings": self.timings,
-            "payload": self.payload,
-            "note": self.note,
-            "error": self.error,
-        }
+        versions = {"schema_version": SCHEMA_VERSION, "tool_version": __version__}
+        return {**versions, **asdict(self)}
 
-
-def _ideal_strings(I):
-    return [str(g) for g in I.groebner()]
-
-
-def witness_entry(w):
-    return {
-        "prime": _ideal_strings(w.prime),
-        "contraction": _ideal_strings(w.contraction),
-    }
-
-
-def hypothesis_entries(report):
-    return [
-        {"name": c.name, "status": c.status, "detail": c.detail}
-        for c in report.checks
-    ]
-
-
-def from_verdict(command, verdict, guards_dict, seed):
-    return Report(
-        command=command,
-        verdict=verdict.result,
-        witness=[witness_entry(w) for w in verdict.witnesses],
-        hypotheses=hypothesis_entries(verdict.hypotheses),
-        guards=guards_dict,
-        seed=seed,
-        timings=verdict.timings,
-        payload={
+    def add_verdict(self, verdict):
+        """Fill in a flatness Verdict: result, witnesses, hypotheses and extras."""
+        self.verdict = verdict.result
+        self.witness = [
+            {"prime": _ideal_strings(w.prime),
+             "contraction": _ideal_strings(w.contraction)}
+            for w in verdict.witnesses
+        ]
+        self.hypotheses = [asdict(c) for c in verdict.hypotheses]
+        self.timings = verdict.timings
+        self.payload = {
             "n": verdict.n,
             "power_overridden": verdict.power_overridden,
             "retries": verdict.retries,
             "renames": verdict.renames,
-        },
-        note=verdict.note,
-    )
+        }
+        self.note = verdict.note
+
+
+def _ideal_strings(I):
+    return [str(g) for g in I.groebner()]
 
 
 def render_report(report, fmt="text"):

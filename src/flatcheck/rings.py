@@ -146,12 +146,6 @@ class Polynomial:
             raise InvalidInput("not a constant polynomial")
         return next(iter(self.terms.values()))
 
-    def total_degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name):
         i = self.ring.var_index(name)
         if not self.terms:

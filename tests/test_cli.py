@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -240,19 +241,49 @@ def test_timeout_guard(capsys):
     assert rep["guards"]["tripped"] == "time"
 
 
-def test_timeout_guard_reaches_the_parser(tmp_path):
-    # Expanding the base relation alone takes minutes.  A child process, so
-    # that a product which stops polling the guard fails the test, not hangs it.
-    slow = tmp_path / "slow.flat"
-    slow.write_text(
+_AS = ", ".join(f"a{i}" for i in range(24))
+# (command, problem file) pairs that each keep one long loop busy for far
+# longer than the budget: expanding a power in the parser, building the
+# order of a 3001-variable ring, pairing the 500 copies of a fibred power,
+# scanning the 2^24 candidate independent sets, and counting the 150^3
+# standard monomials of a zero-dimensional ideal.
+_SLOW = {
+    "parser": (
+        "check-flat",
         "ring R = Q[y1, y2] / ((y1 + y2 + 1)^400);\n"
-        "module A over R = Q[y1, y2, x] / (x*y1);\n"
-    )
+        "module A over R = Q[y1, y2, x] / (x*y1);\n",
+    ),
+    "order-fields": (
+        "check-flat",
+        "ring R = Q[y];\nmodule F over R = Q[y, x] / (x*y);\noption power = 3000;\n",
+    ),
+    "pair-building": (
+        "check-flat",
+        "ring R = Q[y];\nmodule F over R = Q[y, x] / (x*y);\noption power = 500;\n",
+    ),
+    "independent-set": ("primdec", f"ring R = Q[{_AS}] / ({_AS});\n"),
+    "standard-monomials": (
+        "primdec",
+        "ring R = Q[x, y, z] / (x^150 - 2, y^150 - 3, z^150 - 5);\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SLOW))
+def test_timeout_guard_reaches_the_parser(case, tmp_path):
+    # A child process, so that a loop which stops polling the guard fails
+    # the test, not hangs it.
+    command, text = _SLOW[case]
+    slow = tmp_path / "slow.flat"
+    slow.write_text(text)
+    budget = 0.5
+    start = time.monotonic()
     proc = _run_module(
         "flatcheck",
-        ["check-flat", str(slow), "--timeout", "0.5", "--format", "json"],
-        timeout=30,
+        [command, str(slow), "--timeout", str(budget), "--format", "json"],
+        timeout=60,
     )
+    assert time.monotonic() - start <= budget + 5
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["guards"]["tripped"] == "time"
 

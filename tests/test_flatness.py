@@ -240,8 +240,7 @@ def test_hypotheses_douady(cusp_base, incidence_module, cusp_cover):
     problem = FlatnessProblem(
         cusp_base, incidence_module, cusp_cover, analytically_irreducible=True
     )
-    rep = verify_hypotheses(problem)
-    status = {c.name: c.status for c in rep.checks}
+    status = {c.name: c.status for c in verify_hypotheses(problem)}
     assert status == {
         "base_prime": "pass",
         "dimensions": "pass",
@@ -277,8 +276,8 @@ def test_reducible_base_fails():
     base = BaseRing.create(ring, Ideal(ring, [y1 * y2]))
     module = ModuleSpec(ring, Ideal(ring, [y1 * y2]), base)
     problem = FlatnessProblem(base, module, analytically_irreducible=True)
-    rep = verify_hypotheses(problem)
-    assert rep.get("base_prime").status == "fail"
+    status = {c.name: c.status for c in verify_hypotheses(problem)}
+    assert status["base_prime"] == "fail"
     with pytest.raises(HypothesisViolation):
         check_flatness(problem)
 
@@ -288,23 +287,59 @@ def test_non_dominant_cover_fails(cusp_base, incidence_module):
     y1, y2, u = ring.gens()
     cover = RegularCover(ring, Ideal(ring, [y1, y2]), cusp_base)  # maps to origin only
     problem = FlatnessProblem(cusp_base, incidence_module, cover)
-    rep = verify_hypotheses(problem)
-    assert rep.get("cover_dominant").status == "fail"
+    status = {c.name: c.status for c in verify_hypotheses(problem)}
+    assert status["cover_dominant"] == "fail"
 
 
 def test_singular_cover_fails(cusp_base, incidence_module):
     # identity cover over the singular cusp: smoothness must fail
     problem = FlatnessProblem(cusp_base, incidence_module)
-    rep = verify_hypotheses(problem)
-    assert rep.get("cover_smooth").status == "fail"
+    status = {c.name: c.status for c in verify_hypotheses(problem)}
+    assert status["cover_smooth"] == "fail"
     waived = FlatnessProblem(
         cusp_base, incidence_module, waived=("cover_smooth",),
         analytically_irreducible=True,
     )
-    rep2 = verify_hypotheses(waived)
-    assert rep2.get("cover_smooth").status == "waived"
+    status = {c.name: c.status for c in verify_hypotheses(waived)}
+    assert status["cover_smooth"] == "waived"
     v = check_flatness(waived)
     assert v.result == "TORSION_FREE"  # waived hypothesis blocks a FLAT claim
+
+
+def test_failing_hypothesis_details(cusp_base, incidence_module, monkeypatch):
+    # Golden reports reach only the passing details; pin the failing ones.
+    def details(problem):
+        return {c.name: (c.status, c.detail) for c in verify_hypotheses(problem)}
+
+    ring = PolyRing(("y1", "y2", "u"))
+    y1, y2, u = ring.gens()
+    point = RegularCover(ring, Ideal(ring, [y1, y2, u]), cusp_base)
+    got = details(FlatnessProblem(cusp_base, incidence_module, point))
+    assert got["dimensions"] == ("fail", "dim q = 1, n = 1, dim L = 0")
+    assert got["cover_dominant"] == ("fail", "contraction of L is <y1, y2>, not q")
+
+    wide = BaseRing(cusp_base.ring, cusp_base.q, 3)
+    module = ModuleSpec(cusp_base.ring, cusp_base.q, wide)
+    got = details(FlatnessProblem(wide, module))
+    assert got["dimensions"] == ("fail", "dim q = 1, n = 3, dim L = 1")
+    assert got["cover_smooth"] == ("fail", "cover dimension exceeds ring arity")
+
+    plane = PolyRing(("y1", "y2"))
+    p1, p2 = plane.gens()
+    cross = BaseRing.create(plane, Ideal(plane, [p1 * p2]))
+    got = details(FlatnessProblem(cross, ModuleSpec(plane, cross.q, cross)))
+    assert got["base_prime"] == ("fail", "q has 2 primary components")
+
+    waived = FlatnessProblem(cusp_base, incidence_module, waived=("cover_smooth",))
+    assert details(waived)["cover_smooth"] == (
+        "waived", "Jacobian minors + L are not the unit ideal"
+    )
+
+    def broken(I):
+        raise InvalidInput("q is out of reach")
+
+    monkeypatch.setattr(flatness, "decompose", broken)
+    assert details(waived)["base_prime"] == ("fail", "q is out of reach")
 
 
 def test_module_must_contain_base_ideal(cusp_base):
