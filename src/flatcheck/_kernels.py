@@ -34,7 +34,7 @@ def monomial_divides(a, b):
 
 
 def monomial_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def total_degree(a):

@@ -272,9 +272,12 @@ def _base_prime(base, cover):
         raise  # a tripped guard ends the run, it is not a verdict on q
     except FlatcheckError as exc:  # a decomposition error on q fails the check
         return False, str(exc)
-    if len(comps) == 1 and comps[0].primary.equals(comps[0].prime):
+    if len(comps) > 1:
+        return False, f"q has {len(comps)} primary components"
+    (comp,) = comps
+    if comp.primary.equals(comp.prime):
         return True, "q has a single prime component"
-    return False, f"q has {len(comps)} primary components"
+    return False, f"q is primary, not prime: rad q = {comp.prime}"
 
 
 def _dimensions(base, cover):

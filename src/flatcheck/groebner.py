@@ -100,17 +100,34 @@ def _to_polynomial(ring, r, w, order):
 
     r is divided by its content first, so that the Fractions are built
     from the smallest integers; the loop polls the time guard per term.
+    Its caches hold what `integer_form`, `packed_form(order)` and
+    `leading_term(order)` would compute from its terms: its integer form
+    is the primitive r, negated when the scale g / w is negative.
     """
     r, g = _primitive(r)
-    u = g / Fraction(w)
+    if not r:
+        return Polynomial(ring, {})
+    u = Fraction(g, w)
     num, den = u.numerator, u.denominator
+    if num < 0:
+        r = {e: -c for e, c in r.items()}
+        num = -num
     check = Guards.current().check_time
     unpack = order.unpack
     terms = {}
+    nums = {}
     for e, c in r.items():
-        terms[unpack(e)] = Fraction(c * num, den)
+        x = unpack(e)
+        nums[x] = c
+        terms[x] = Fraction(c * num) if den == 1 else Fraction(c * num, den)
         check()
-    return Polynomial(ring, terms)
+    f = Polynomial(ring, terms)
+    f._int = (nums, Fraction(den, num))
+    lead = max(r)
+    x = unpack(lead)
+    f._packed[order.descriptor] = (r, lead, r[lead], max(k & DEGREE_MASK for k in r))
+    f._lt[order.descriptor] = (x, terms[x])
+    return f
 
 
 def _divide(f, divisors, order, quotients=None):
@@ -200,6 +217,13 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
     chain criteria can be toggled for the equivalence tests; they never
     change the reduced basis obtained afterwards.
 
+    The chain criterion skips a pair (i, j) with lcm L when the lead of
+    some third element k divides L and the pairs {i, k} and {j, k} have
+    already been popped.  Each element keeps one int of popped partners:
+    bit k of partners[i] is set when the pair {i, k} is popped.  The
+    candidates k are then the set bits of partners[i] & partners[j],
+    which never include i or j, and each takes one mask test.
+
     S-polynomials are formed and reduced over Z, on the primitive integer
     forms of the elements keyed by packed monomials; only non-zero
     remainders are turned back into (monic) rational polynomials.
@@ -226,46 +250,42 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
             L = pack(lcm(exponents[i], exponents[j]))
             pairs.append((L & DEGREE_MASK, i, j, L))
     heapq.heapify(pairs)
-    done = set()
+    partners = [0] * len(G)
     processed = 0
 
     while pairs:
         guards.check_time()
         _, i, j, L = heapq.heappop(pairs)
-        done.add((i, j))
+        partners[i] |= 1 << j
+        partners[j] |= 1 << i
         processed += 1
         guards.check_pairs(processed)
         if use_coprime and L == leads[i] + leads[j]:
             continue
         if use_chain:
-            skip = False
-            for k, lead in enumerate(leads):
-                if k == i or k == j or (L - lead) & guard:
-                    continue
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    skip = True
+            common = partners[i] & partners[j]
+            while common:
+                low = common & -common
+                if not (L - leads[low.bit_length() - 1]) & guard:
                     break
-            if skip:
+                common ^= low
+            if common:
                 continue
         s = _s_polynomial(table[i], table[j], L)
         r, _ = _reduce(s, table, leads, guard)
         if not r:
             continue
         guards.check_degree(k & DEGREE_MASK for k in r)
-        r, _ = _primitive(r)
-        lead = max(r)
-        lc = r[lead]
-        G.append(_to_polynomial(ring, r, lc, order))
-        table.append((r, lead, lc, max(k & DEGREE_MASK for k in r)))
-        leads.append(lead)
-        exponent = unpack(lead)
-        exponents.append(exponent)
+        g = _to_polynomial(ring, r, r[max(r)], order)
+        G.append(g)
+        table.append(g.packed_form(order))
+        leads.append(table[-1][1])
+        exponents.append(g.leading_term(order)[0])
+        partners.append(0)
         new = len(G) - 1
         for k in range(new):
             guards.check_time()
-            L = pack(lcm(exponents[k], exponent))
+            L = pack(lcm(exponents[k], exponents[new]))
             heapq.heappush(pairs, (L & DEGREE_MASK, k, new, L))
     return G
 

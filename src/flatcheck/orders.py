@@ -23,10 +23,16 @@ DEGREE_LIMIT every field keeps its top bit clear and:
 * a divides b iff (pack(b) - pack(a)) & order.guard == 0: a borrow out
   of any field sets that field's top bit, a bit of ``guard``;
 * pack(a) & DEGREE_MASK is the total degree of a.
+
+The constructors (`lex`, `degrevlex`, `block`, `elimination`) share one
+instance per ``(kind, spec, nvars)`` among all live rings and ideals.
+The instances are held weakly, so an order is built again only after
+its last user is gone.  A shared order must never be mutated.
 """
 
 from __future__ import annotations
 
+import weakref
 from operator import mul
 from struct import Struct
 
@@ -38,6 +44,9 @@ DEGREE_MASK = (1 << FIELD_BITS) - 1
 # Packed keys stay valid while total degrees stay below this.
 DEGREE_LIMIT = 1 << (FIELD_BITS - 1)
 
+# The live orders, by (kind, normalized spec, nvars).
+_SHARED = weakref.WeakValueDictionary()
+
 
 class MonomialOrder:
     """A total, multiplicative, global order on exponent vectors.
@@ -48,7 +57,9 @@ class MonomialOrder:
     module docstring; ``guard`` holds the top bit of each of their fields.
     """
 
-    __slots__ = ("kind", "spec", "nvars", "_descriptor", "_weights", "_raw", "guard")
+    __slots__ = (
+        "kind", "spec", "nvars", "_descriptor", "_weights", "_raw", "guard", "__weakref__"
+    )
 
     def __init__(self, kind, spec, nvars):
         seen = []
@@ -89,17 +100,30 @@ class MonomialOrder:
         self.guard = int.from_bytes(b"\x80\0\0\0" * len(fields), "big")
 
     @classmethod
+    def _shared(cls, kind, spec, nvars):
+        """The live order for (kind, spec, nvars), built if there is none.
+
+        An order is entered only once built, so a construction cut short
+        by a guard leaves nothing behind.
+        """
+        key = (kind, tuple((k, tuple(ix)) for k, ix in spec), nvars)
+        order = _SHARED.get(key)
+        if order is None:
+            order = _SHARED[key] = cls(kind, spec, nvars)
+        return order
+
+    @classmethod
     def lex(cls, nvars):
-        return cls("lex", (("lex", tuple(range(nvars))),), nvars)
+        return cls._shared("lex", (("lex", range(nvars)),), nvars)
 
     @classmethod
     def degrevlex(cls, nvars):
-        return cls("degrevlex", (("degrevlex", tuple(range(nvars))),), nvars)
+        return cls._shared("degrevlex", (("degrevlex", range(nvars)),), nvars)
 
     @classmethod
     def block(cls, blocks, nvars):
         """Block order from ``(kind, indices)`` pairs, leftmost block first."""
-        return cls("block", tuple(blocks), nvars)
+        return cls._shared("block", blocks, nvars)
 
     @classmethod
     def elimination(cls, drop_indices, nvars, kind="degrevlex"):
@@ -111,7 +135,7 @@ class MonomialOrder:
             blocks.append((kind, drop))
         if keep:
             blocks.append((kind, keep))
-        return cls("block", tuple(blocks), nvars)
+        return cls._shared("block", blocks, nvars)
 
     @property
     def descriptor(self):

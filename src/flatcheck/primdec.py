@@ -4,10 +4,11 @@ Zero-dimensional ideals are split along the irreducible factors of the
 minimal polynomial of a linear form.  The forms come from one fixed
 sequence (`_candidate_forms`): each dependent variable alone, then
 sum_i k^i x_i for k = 1, 2, ...  A leaf, where a form's minimal
-polynomial is a power p^e of one irreducible p, is certified primary by
-the shape-position test on that form: its radical (Seidenberg) is
-maximal when deg p equals the vector-space dimension of the radical's
-quotient.  A form that fails the test is skipped for the next one, and
+polynomial is a power p^e of one irreducible p, is certified by the
+shape-position test on that form: the leaf is prime when deg p equals
+the vector-space dimension of its own quotient, and otherwise primary
+when deg p equals that of its radical's (Seidenberg), which is then
+maximal.  A form that fails the test is skipped for the next one, and
 the sequence reaches a separating form after finitely many.  Every
 ideal is reduced to the zero-dimensional case over Q(U) for a maximal
 independent set U (empty in dimension 0), using the block-order
@@ -277,7 +278,7 @@ def _zero_dim_over_field(I, params):
         # Re-present by the reduced basis: split branches otherwise carry
         # huge raw generators into every elimination below.
         J = _reduced(J)
-        prime = None
+        dim_j = prime = None
         for form in _candidate_forms(ring, deps):
             m, tname = _minimal_polynomial(J, form, params)
             factors = ff_factor(m, tname, [v for v in m.ring.variables if v != tname])
@@ -289,15 +290,24 @@ def _zero_dim_over_field(I, params):
                         sub = _contract(sub, params)
                     stack.append(sub)
                 break
+            # With K = Q(params), K[form] = K[t]/(p) is a field inside
+            # K[x]/P for P the radical of J.  If deg p equals the
+            # K-dimension of K[x]/J, it fills K[x]/J, which is then a field:
+            # J is maximal over K, its own radical and, being contracted,
+            # prime in Q[x].  Otherwise the radical is computed once; equal
+            # K-dimensions of K[form] and K[x]/P make P maximal over K,
+            # hence prime, and J P-primary.
+            ((p, _),) = factors
+            degree = p.degree_in(tname)
+            if dim_j is None:
+                dim_j = vector_space_dimension(J, params)
+            if degree == dim_j:
+                out.append(PrimaryComponent(J, J))
+                break
             if prime is None:
                 prime = _radical_over_field(J, params)
                 dim = vector_space_dimension(prime, params)
-            # With K = Q(params) and P the radical of J, K[form] = K[t]/(p)
-            # is a field inside K[x]/P.  Equal K-dimensions make the two
-            # equal, so P is maximal over K; being contracted, P is prime
-            # in Q[x], and J is P-primary.
-            ((p, _),) = factors
-            if p.degree_in(tname) == dim:
+            if degree == dim:
                 out.append(PrimaryComponent(J, _reduced(prime)))
                 break
             skipped += 1

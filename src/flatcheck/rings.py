@@ -8,6 +8,9 @@ coefficients, so two polynomials are equal iff their term maps are equal.
 The Groebner core works on another view of the same polynomial, cached
 per order by `Polynomial.packed_form`: a primitive integer term map keyed
 by the order's packed monomials (see `orders`), one int per monomial.
+The polynomials the Groebner core returns come with these caches (and
+the leading term) already filled from the integer map they were
+computed as; see `groebner._to_polynomial`.
 """
 
 from __future__ import annotations
@@ -178,7 +181,8 @@ class Polynomial:
 
         P has integer coefficients with gcd 1 (the zero polynomial gives
         ({}, 1)).  Cached like the leading terms; Groebner reductions run
-        on P and convert back to rationals only at the end.
+        on P and convert back to rationals only at the end.  The Groebner
+        core seeds this cache on the polynomials it returns.
         """
         hit = self._int
         if hit is None:
@@ -199,8 +203,10 @@ class Polynomial:
         P maps the order's packed monomials to the integer coefficients of
         integer_form; lead is P's largest key, lc its coefficient and
         degree the largest total degree of a term.  Cached per order like
-        the leading terms.  Raises GuardExceeded("exponent") if a total
-        degree reaches orders.DEGREE_LIMIT, where packing would overflow.
+        the leading terms; the Groebner core seeds the entry for its order
+        on the polynomials it returns.  Raises GuardExceeded("exponent") if
+        a total degree reaches orders.DEGREE_LIMIT, where packing would
+        overflow.
         """
         if self.is_zero():
             raise InvalidInput("zero polynomial has no leading term")

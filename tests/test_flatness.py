@@ -330,6 +330,13 @@ def test_failing_hypothesis_details(cusp_base, incidence_module, monkeypatch):
     got = details(FlatnessProblem(cross, ModuleSpec(plane, cross.q, cross)))
     assert got["base_prime"] == ("fail", "q has 2 primary components")
 
+    fat_point = build_problem(parse_problem(
+        "ring R = Q[y] / (y^2);\nmodule F over R = Q[y, x] / (y^2, x*y);\n"
+    ))
+    assert details(fat_point)["base_prime"] == (
+        "fail", "q is primary, not prime: rad q = <y>"
+    )
+
     waived = FlatnessProblem(cusp_base, incidence_module, waived=("cover_smooth",))
     assert details(waived)["cover_smooth"] == (
         "waived", "Jacobian minors + L are not the unit ideal"

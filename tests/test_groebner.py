@@ -1,5 +1,6 @@
 """Division, Buchberger, reduced bases, and the 200-instance property suite."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from flatcheck._kernels import monomial_div, monomial_divides, monomial_lcm, mon
 from flatcheck.errors import GuardExceeded
 from flatcheck.groebner import (
     Guards,
+    _reduce,
     _s_polynomial,
+    _to_polynomial,
     buchberger,
     division,
     groebner_basis,
@@ -17,8 +20,8 @@ from flatcheck.groebner import (
     reduce_basis,
 )
 from flatcheck.ideals import Ideal
-from flatcheck.orders import MonomialOrder
-from flatcheck.rings import PolyRing, Polynomial
+from flatcheck.orders import DEGREE_MASK, MonomialOrder
+from flatcheck.rings import PolyRing, Polynomial, _primitive
 
 from conftest import nonzero_random_poly
 
@@ -279,6 +282,61 @@ def test_buchberger_appends_monic_elements(system):
     assert all(g.leading_term(order)[1] == 1 for g in G[len(gens):])
 
 
+def _reference_buchberger(gens, order, use_coprime=True, use_chain=True):
+    """buchberger with the chain criterion as a scan over every lead and a
+    set of the popped pairs: the rule that the partner bitmasks replace."""
+    G = [g for g in gens if not g.is_zero()]
+    if not G:
+        return []
+    table = [g.packed_form(order) for g in G]
+    leads = [t[1] for t in table]
+    exponents = [order.unpack(lead) for lead in leads]
+    pairs = []
+    for j in range(1, len(G)):
+        for i in range(j):
+            L = order.pack(monomial_lcm(exponents[i], exponents[j]))
+            pairs.append((L & DEGREE_MASK, i, j, L))
+    heapq.heapify(pairs)
+    done = set()
+    while pairs:
+        _, i, j, L = heapq.heappop(pairs)
+        done.add((i, j))
+        if use_coprime and L == leads[i] + leads[j]:
+            continue
+        if use_chain and any(
+            k != i and k != j and not (L - lead) & order.guard
+            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+            for k, lead in enumerate(leads)
+        ):
+            continue
+        r, _ = _reduce(_s_polynomial(table[i], table[j], L), table, leads, order.guard)
+        if not r:
+            continue
+        r, _ = _primitive(r)
+        lead = max(r)
+        G.append(_to_polynomial(G[0].ring, r, r[lead], order))
+        table.append((r, lead, r[lead], max(k & DEGREE_MASK for k in r)))
+        leads.append(lead)
+        exponents.append(order.unpack(lead))
+        new = len(G) - 1
+        for k in range(new):
+            L = order.pack(monomial_lcm(exponents[k], exponents[new]))
+            heapq.heappush(pairs, (L & DEGREE_MASK, k, new, L))
+    return G
+
+
+TOGGLES = [(True, True), (True, False), (False, True), (False, False)]
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
+def test_partner_bitmasks_match_the_reference_chain_scan(system):
+    gens, order = system()
+    for coprime, chain in TOGGLES:
+        assert buchberger(gens, order, coprime, chain) == _reference_buchberger(
+            gens, order, coprime, chain
+        )
+
+
 # -- the >= 200-instance property suite ------------------------------------------
 
 
@@ -353,6 +411,46 @@ def test_property_suite_full():
         gb_of_gens = Ideal(ring, gens)
         for b in basis:
             assert gb_of_gens.contains(b)
+
+
+def test_property_suite_matches_the_reference_chain_scan():
+    for _, gens, order, _ in SUITE:
+        for coprime, chain in TOGGLES:
+            assert buchberger(gens, order, coprime, chain) == _reference_buchberger(
+                gens, order, coprime, chain
+            )
+
+
+def _assert_seeded_caches(g, order):
+    """g's integer form, packed form and leading term under order are
+    seeded, and equal what the same terms compute from scratch."""
+    fresh = Polynomial(g.ring, dict(g.terms))
+    key = order.descriptor
+    assert g._int is not None and key in g._packed and key in g._lt
+    assert g._int == fresh.integer_form()
+    assert g._packed[key] == fresh.packed_form(order)
+    assert g._lt[key] == fresh.leading_term(order)
+
+
+def test_outputs_keep_their_integer_forms():
+    """What the Groebner core returns carries the caches it already holds."""
+    seeded = 0
+    for ring, gens, order, sub in SUITE:
+        rng = random.Random(sub + 2)
+        G = buchberger(gens, order)
+        for g in G[len(gens):]:
+            _assert_seeded_caches(g, order)
+        for g in groebner_basis(gens, order):
+            _assert_seeded_caches(g, order)
+        # Rescaled terms: fractional coefficients and negative leads.
+        divisors = [_rescale_terms(g, rng) for g in gens]
+        f = _rescale_terms(nonzero_random_poly(ring, rng, max_terms=4, max_deg=4), rng)
+        _, rem = division(f, divisors, order)
+        for r in (rem, normal_form(f, divisors, order), normal_form(f, G, order)):
+            if not r.is_zero():
+                _assert_seeded_caches(r, order)
+        seeded += len(G) - len(gens) + (not rem.is_zero())
+    assert seeded > 200
 
 
 def _reference_division(f, divisors, order):

@@ -1,9 +1,15 @@
 """Monomial order axioms and the documented comparison cases."""
 
+import gc
 import random
 
+import pytest
+
+from flatcheck import orders
 from flatcheck._kernels import monomial_divides, monomial_mul
+from flatcheck.errors import GuardExceeded, Guards
 from flatcheck.orders import MonomialOrder
+from flatcheck.rings import PolyRing
 
 
 def test_lex_first_exponent_wins():
@@ -77,6 +83,61 @@ def test_descriptor_distinguishes_orders():
         MonomialOrder.elimination([0], 3).descriptor
         != MonomialOrder.elimination([1], 3).descriptor
     )
+
+
+# -- shared instances -------------------------------------------------------------
+
+
+def test_equal_specs_share_one_order():
+    lex, grevlex = MonomialOrder.lex(3), MonomialOrder.degrevlex(3)
+    assert MonomialOrder.lex(3) is lex
+    assert MonomialOrder.degrevlex(3) is grevlex
+    blocks = [("lex", (2,)), ("degrevlex", (3, 0)), ("lex", (1,))]
+    block = MonomialOrder.block(blocks, 4)
+    assert MonomialOrder.block(tuple((k, list(ix)) for k, ix in blocks), 4) is block
+    elim = MonomialOrder.elimination([3, 1], 4)
+    assert MonomialOrder.elimination((1, 3), 4) is elim
+    # The same blocks through block() are the same order.
+    assert MonomialOrder.block([("degrevlex", (1, 3)), ("degrevlex", (0, 2))], 4) is elim
+    assert PolyRing(("a", "b", "c")).default_order is grevlex
+
+
+def test_different_specs_give_different_orders():
+    built = [
+        MonomialOrder.lex(3),
+        MonomialOrder.lex(4),
+        MonomialOrder.degrevlex(3),
+        MonomialOrder.block([("lex", (0, 1, 2))], 3),
+        MonomialOrder.elimination([1], 3),
+        MonomialOrder.elimination([2], 3),
+        MonomialOrder.elimination([1], 3, kind="lex"),
+    ]
+    assert len({id(order) for order in built}) == len(built)
+
+
+def _live(nvars):
+    return [order for order in orders._SHARED.values() if order.nvars == nvars]
+
+
+def test_shared_orders_die_with_their_last_user():
+    ring = PolyRing(tuple(f"v{i}" for i in range(29)))
+    order = MonomialOrder.degrevlex(29)
+    assert _live(29) == [ring.default_order] and order is ring.default_order
+    del ring
+    gc.collect()
+    assert _live(29) == [order]
+    del order
+    gc.collect()
+    assert _live(29) == []
+
+
+def test_a_construction_cut_short_leaves_no_entry():
+    with pytest.raises(GuardExceeded) as exc, Guards(timeout=0.0):
+        MonomialOrder.lex(31)
+    assert exc.value.guard == "time"
+    gc.collect()
+    assert _live(31) == []
+    assert MonomialOrder.lex(31).nvars == 31
 
 
 # -- packed keys ------------------------------------------------------------------

@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from flatcheck import factor, primdec, problems
+from flatcheck import factor, flatness, primdec, problems
 from flatcheck.dsl import build_problem, parse_problem
 from flatcheck.errors import GuardExceeded, Guards, InvalidInput, NotZeroDimensional
 from flatcheck.flatness import check_flatness
@@ -80,6 +80,37 @@ def test_leaf_skips_forms_that_fail_the_certificate(qxy):
     (comp,) = dec.components
     assert comp.primary.equals(I)
     assert comp.prime.equals(I)
+
+
+def test_radical_leaves_compute_no_radical(qxy, monkeypatch):
+    # A leaf whose form has a minimal polynomial of degree equal to the
+    # leaf's own vector-space dimension is prime: no Seidenberg radical.
+    per_call = []  # leaf radicals of each decompose call, when it returns
+    open_calls = []
+
+    def counted_radical(I, params):
+        if open_calls:
+            open_calls[-1] += 1
+        return radical_over_field(I, params)
+
+    def counted_decompose(I):
+        open_calls.append(0)
+        try:
+            return decompose(I)
+        finally:
+            per_call.append(open_calls.pop())
+
+    radical_over_field = primdec._radical_over_field
+    monkeypatch.setattr(primdec, "_radical_over_field", counted_radical)
+    monkeypatch.setattr(flatness, "decompose", counted_decompose)
+    # check-flat on douady decomposes base_prime's q, then rad(ann T).
+    problem = build_problem(parse_problem(problems.read("douady")))
+    assert check_flatness(problem).result == "NON_FLAT"
+    assert per_call == [0, 0]
+    # A leaf that is primary but not prime still takes its radical.
+    x, y = qxy.gens()
+    counted_decompose(Ideal(qxy, [x**2, y]))
+    assert per_call[-1] == 1
 
 
 def test_decompose_and_check_flatness_draw_no_random_numbers(qxy, monkeypatch):
