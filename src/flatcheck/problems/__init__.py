@@ -2,15 +2,6 @@
 
 from importlib import resources
 
-NAMES = (
-    "douady.flat",
-    "douady-no-cover.flat",
-    "blowup.flat",
-    "xy-collapse.flat",
-    "free-module.flat",
-    "cusp-second-cover.flat",
-)
-
 
 def _filename(name):
     return name if name.endswith(".flat") else name + ".flat"

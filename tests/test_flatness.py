@@ -1,5 +1,7 @@
 """The flatness pipeline: fibred powers, torsion witnesses, hypotheses."""
 
+import dataclasses
+
 import pytest
 
 from flatcheck import flatness, problems
@@ -304,6 +306,20 @@ def test_singular_cover_fails(cusp_base, incidence_module):
     assert status["cover_smooth"] == "waived"
     v = check_flatness(waived)
     assert v.result == "TORSION_FREE"  # waived hypothesis blocks a FLAT claim
+
+
+@pytest.mark.parametrize("power, result", [(1, "TORSION_FREE"), (2, "NON_FLAT")])
+def test_cone_normalization_needs_the_full_power(power, result):
+    # Q[s, t] over the A_1 cone is a domain but not flat: its fibre over the
+    # vertex has dimension 3, its generic rank is 2.  With the identity
+    # cover, the 1-fold power sees no torsion; the n-fold power, n = 2, does.
+    problem = build_problem(parse_problem(problems.read("cone-a1-normalization")))
+    problem = dataclasses.replace(problem, cover=None, power=power, waived=("cover_smooth",))
+    verdict = check_flatness(problem)
+    assert verdict.result == result
+    assert [sorted(map(str, w.contraction.groebner())) for w in verdict.witnesses] == (
+        [["a", "b", "c"]] if result == "NON_FLAT" else []
+    )
 
 
 def test_failing_hypothesis_details(cusp_base, incidence_module, monkeypatch):

@@ -46,6 +46,10 @@ CASES = (
        (("gb", ("--order", "lex")), ("contract", ()))
        for name in ("douady", "blowup")]
     + [("eliminate", "douady", ("--vars", "y1"))]
+    # Singular surfaces: the A_1 and A_2 cones, verdicts proved in each file.
+    + [("check-flat", name, ()) for name in
+       ("cone-a1-normalization", "cone-a2-normalization", "cone-a1-monic",
+        "cone-a1-blowup-chart")]
 )
 
 
@@ -72,6 +76,15 @@ def _report(command, name, extra):
 def test_report_matches_golden(case):
     expected = (GOLDEN / f"{_case_id(case)}.json").read_text(encoding="utf-8")
     assert _report(*case) == expected
+
+
+def test_every_bundled_problem_has_a_golden_report_and_a_readme_row():
+    readme = (GOLDEN.parent.parent / "README.md").read_text(encoding="utf-8")
+    names = sorted(p.stem for p in Path(problems.path("douady")).parent.glob("*.flat"))
+    assert len(names) >= 10
+    for name in names:
+        assert (GOLDEN / f"check-flat--{name}.json").is_file(), name
+        assert f"| `{name}.flat` |" in readme, name
 
 
 CORPUS = ("douady", "blowup", "xy-collapse", "free-module", "cusp-second-cover",
