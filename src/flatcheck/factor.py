@@ -1,15 +1,18 @@
 """Univariate factorization over the rationals.
 
-Pipeline: Yun squarefree decomposition, factorization modulo a suitable
-prime (distinct-degree plus Cantor-Zassenhaus equal-degree splitting),
-Hensel lifting past a Mignotte-style coefficient bound, and subset
-recombination.  Recombination rejects most candidate subsets by a
+Pipeline: the squarefree part f / gcd(f, f'), factorization modulo a
+suitable prime (distinct-degree plus Cantor-Zassenhaus equal-degree
+splitting), Hensel lifting past a Mignotte-style coefficient bound, and
+subset recombination; each factor's multiplicity in f is then counted by
+exact division.  Recombination rejects most candidate subsets by a
 constant-term divisibility test (Abbott-Shoup-Zimmermann, ISSAC 2000)
 and tries the rest by integer trial division, which stops at the first
-inexact step.  Dense integer coefficient lists (low degree first) are
-used internally.  The public API speaks Polynomial, except
-`factor_squarefree`, which takes and returns dense Fraction lists for a
-caller that knows its input is squarefree and holds its coefficients.
+inexact step.  Its subset search, `_recombine`, also serves the
+factorization over Q(U) in `funcfield`.  Dense integer coefficient lists
+(low degree first) are used internally.  The public API speaks
+Polynomial, except `factor_squarefree`, which takes and returns dense
+Fraction lists for a caller that knows its input is squarefree and
+holds its coefficients.
 """
 
 from __future__ import annotations
@@ -356,49 +359,75 @@ def _factor_squarefree_z(f, seed=0):
     lifted = _hensel_multifactor(_mod_list(f, p**k), modular, p, k)
     q = p**k
 
-    result = []
-    remaining = list(range(len(lifted)))
-    current = list(f)
+    def split(combo, current):
+        lc = current[-1]
+        # A true factor g of current = g*h lifts to exactly lc(h)*g, so
+        # its constant term divides lc(g)*lc(h)*g(0)*h(0) = lc*current[0].
+        if current[0]:
+            c0 = lc
+            for i in combo:
+                c0 = c0 * lifted[i][0] % q
+            if c0 > q // 2:
+                c0 -= q
+            if c0 == 0 or (lc * current[0]) % c0:
+                return None
+        cand = [lc % q]
+        for i in combo:
+            cand = _mod_list(_mul(cand, lifted[i]), q)
+        cand, _ = _primitive(_trim(_symmetric(cand, q)))
+        if not cand:
+            return None
+        quo = _exact_quotient_z(current, cand)
+        return None if quo is None else (cand, quo)
+
+    result, current = _recombine(len(lifted), list(f), split, MAX_SUBSETS, "recombination")
+    if _deg(current) >= 1:
+        result.append(_primitive(current)[0])
+    return result
+
+
+def _recombine(count, current, split, max_subsets, guard):
+    """Zassenhaus recombination of `count` lifted factors of `current`.
+
+    Subsets of the unused factors are tried smallest first, in
+    `itertools.combinations` order, up to half of them at a time (a larger
+    subset is the complement of a smaller one).  split(combo, current)
+    returns (factor, cofactor) when the factors in combo give a true
+    factor of current, else None.  A factor found is kept, current
+    becomes its cofactor, and the search goes on at the same size.  Trying
+    more than max_subsets subsets, rejected ones included, trips the
+    guard named `guard`.  Returns the factors found and what is left.
+    """
+    factors = []
+    remaining = list(range(count))
     tried = 0
     size = 1
     guards = Guards.current()
     while 2 * size <= len(remaining):
-        found = False
         for combo in itertools.combinations(remaining, size):
             guards.check_time()
             tried += 1
-            if tried > MAX_SUBSETS:
-                raise GuardExceeded("recombination")
-            lc = current[-1]
-            # A true factor g of current = g*h lifts to exactly lc(h)*g, so
-            # its constant term divides lc(g)*lc(h)*g(0)*h(0) = lc*current[0].
-            if current[0]:
-                c0 = lc
-                for i in combo:
-                    c0 = c0 * lifted[i][0] % q
-                if c0 > q // 2:
-                    c0 -= q
-                if c0 == 0 or (lc * current[0]) % c0:
-                    continue
-            cand = [lc % q]
-            for i in combo:
-                cand = _mod_list(_mul(cand, lifted[i]), q)
-            cand = _symmetric(cand, q)
-            cand, _ = _primitive(_trim(list(cand)))
-            if not cand:
-                continue
-            quo = _exact_quotient_z(current, cand)
-            if quo is not None:
-                result.append(cand)
-                current = quo
+            if tried > max_subsets:
+                raise GuardExceeded(guard)
+            found = split(combo, current)
+            if found is not None:
+                factor, current = found
+                factors.append(factor)
                 remaining = [i for i in remaining if i not in combo]
-                found = True
                 break
-        if not found:
+        else:
             size += 1
-    if _deg(current) >= 1:
-        result.append(_primitive(current)[0])
-    return result
+    return factors, current
+
+
+def _multiplicity(f, g, quotient):
+    """How many times g divides f; quotient(f, g) is f / g, or None."""
+    mult = 0
+    f = quotient(f, g)
+    while f is not None:
+        mult += 1
+        f = quotient(f, g)
+    return mult
 
 
 # -- public API ----------------------------------------------------------------
@@ -445,31 +474,6 @@ def _from_coeffs(ring, var, coeffs):
     return Polynomial(ring, terms)
 
 
-def squarefree_factorization(f):
-    """Yun's algorithm: monic squarefree parts with multiplicities."""
-    var, coeffs = _univariate_data(f)
-    unit = Fraction(coeffs[-1])
-    a = [x / unit for x in coeffs]
-    if _deg(a) == 0:
-        return Factorization(unit, [])
-    factors = []
-    d = _deriv(a)
-    g = _gcd_q(a, d)
-    c, _ = _divmod_q(a, g)
-    w, _ = _divmod_q(d, g)
-    i = 1
-    while _deg(c) > 0:
-        y = _gcd_q(c, _add(w, _neg(_deriv(c))))
-        z = _add(w, _neg(_deriv(c)))
-        z, _ = _divmod_q(z, y)
-        if _deg(y) > 0:
-            factors.append((_from_coeffs(f.ring, var, y), i))
-        c, _ = _divmod_q(c, y)
-        w = z
-        i += 1
-    return Factorization(unit, factors)
-
-
 def _factor_key(coeffs):
     """Degree first, then the non-zero coefficients from the constant term up."""
     return len(coeffs), [(i, c) for i, c in enumerate(coeffs) if c]
@@ -493,13 +497,21 @@ def factor_squarefree(coeffs, seed=0):
 
 
 def factor_univariate(f, seed=0):
-    """Irreducible monic factorization over Q with exact reassembly."""
-    sqf = squarefree_factorization(f)
-    out = []
-    for part, mult in sqf.factors:
-        var, coeffs = _univariate_data(part)
-        out.extend((irr, mult) for irr in factor_squarefree(coeffs, seed=seed))
-    out.sort(key=lambda t: _factor_key(t[0]))
-    return Factorization(
-        sqf.unit, [(_from_coeffs(f.ring, var, irr), mult) for irr, mult in out]
-    )
+    """Irreducible monic factorization over Q with exact reassembly.
+
+    The squarefree part f / gcd(f, f') is factored once.  Each factor's
+    multiplicity is the number of times it divides f, by integer trial
+    division of the primitive forms (Gauss's lemma).
+    """
+    var, coeffs = _univariate_data(f)
+    unit = Fraction(coeffs[-1])
+    a = [x / unit for x in coeffs]
+    if _deg(a) == 0:
+        return Factorization(unit, [])
+    part, _ = _divmod_q(a, _gcd_q(a, _deriv(a)))
+    prim = _primitive(_to_int(a)[0])[0]
+    factors = []
+    for irr in factor_squarefree(part, seed=seed):
+        mult = _multiplicity(prim, _primitive(_to_int(irr)[0])[0], _exact_quotient_z)
+        factors.append((_from_coeffs(f.ring, var, irr), mult))
+    return Factorization(unit, factors)

@@ -33,11 +33,13 @@ from .factor import (
     _from_coeffs,
     _gcd_q,
     _mul,
+    _multiplicity,
     _neg,
+    _recombine,
     _trim,
     factor_squarefree,
 )
-from .groebner import _reduce, division
+from .groebner import _reduce, exact_divide, exact_quotient
 from .ideals import Ideal, intersect
 from .orders import DEGREE_MASK
 from .rings import Polynomial, VarMap, _primitive
@@ -47,17 +49,7 @@ MAX_SUBSETS = 100000
 # GCDHEU tries this many evaluation points per variable before giving up.
 HEU_POINTS = 6
 
-# -- exact division and multivariate gcd ---------------------------------------
-
-
-def exact_divide(f, g):
-    """f / g, raising if g does not divide f."""
-    if g.is_zero():
-        raise InvalidInput("division by zero polynomial")
-    cofs, rem = division(f, [g], f.ring.default_order)
-    if not rem.is_zero():
-        raise InvalidInput("not an exact division")
-    return cofs[0]
+# -- multivariate gcd ----------------------------------------------------------
 
 
 def _as_univariate(f, var):
@@ -423,35 +415,16 @@ def ff_factor_squarefree(m, t, params):
                 delta = _mulmod_q(bezout[idx], dense, g)
                 if delta:
                     lifted[idx] = lifted[idx] + u_mono * _from_coeffs(ring, t, delta)
-    # recombination
-    order = ring.default_order
-    factors = []
-    remaining = list(range(len(lifted)))
-    current = shifted
-    tried = 0
-    size = 1
-    while 2 * size <= len(remaining):
-        found = False
-        for combo in itertools.combinations(remaining, size):
-            guards.check_time()
-            tried += 1
-            if tried > MAX_SUBSETS:
-                raise GuardExceeded("ff_recombination")
-            cand = ring.one()
-            for i in combo:
-                cand = _truncate_param(cand * lifted[i], t, sigma)
-            cand = _truncate_param(cand, t, sigma - 1)
-            # {cand} is a Groebner basis of its ideal, so a zero remainder
-            # means cand divides current, and the quotient is exact.
-            (quotient,), rem = division(current, [cand], order)
-            if rem.is_zero():
-                factors.append(cand)
-                current = quotient
-                remaining = [i for i in remaining if i not in combo]
-                found = True
-                break
-        if not found:
-            size += 1
+
+    def split(combo, current):
+        cand = ring.one()
+        for i in combo:
+            cand = _truncate_param(cand * lifted[i], t, sigma)
+        cand = _truncate_param(cand, t, sigma - 1)
+        quotient = exact_quotient(current, cand)
+        return None if quotient is None else (cand, quotient)
+
+    factors, current = _recombine(len(lifted), shifted, split, MAX_SUBSETS, "ff_recombination")
     if current.degree_in(t) >= 1:
         factors.append(current)
     # undo the shift and the monicization
@@ -477,23 +450,14 @@ def ff_factor(m, t, params):
     The squarefree part of m is factored once with `ff_factor_squarefree`.
     Each factor's multiplicity is the number of times it divides m: both
     are primitive in t, so by Gauss's lemma divisibility over Q(U) is
-    divisibility in Q[U][t], which a division by the one factor (a
-    Groebner basis of its own ideal) decides exactly.
+    divisibility in Q[U][t], which `exact_quotient` decides.
     """
     m = primitive_part_in(m, t)
     if m.degree_in(t) == 0:
         return []
-    order = m.ring.default_order
-    out = []
-    for irr in ff_factor_squarefree(ff_squarefree_part(m, t), t, params):
-        mult = 0
-        rest = m
-        while True:
-            (quotient,), rem = division(rest, [irr], order)
-            if not rem.is_zero():
-                break
-            rest = quotient
-            mult += 1
-        out.append((irr, mult))
+    out = [
+        (irr, _multiplicity(m, irr, exact_quotient))
+        for irr in ff_factor_squarefree(ff_squarefree_part(m, t), t, params)
+    ]
     out.sort(key=lambda pair: pair[1])
     return out

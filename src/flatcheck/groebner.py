@@ -9,7 +9,7 @@ from math import gcd
 from typing import Tuple
 
 from . import _kernels
-from .errors import GuardExceeded, Guards, VariableClash
+from .errors import GuardExceeded, Guards, InvalidInput, VariableClash
 from .orders import DEGREE_LIMIT, DEGREE_MASK
 from .rings import Polynomial, _primitive
 
@@ -169,6 +169,27 @@ def division(f, divisors, order):
     quotients = [{} for _ in divisors]
     remainder = _divide(f, divisors, order, quotients)
     return [Polynomial(f.ring, q) for q in quotients], remainder
+
+
+def exact_quotient(f, g):
+    """f / g, or None when g does not divide f.
+
+    {g} is a Groebner basis of its own ideal, so g divides f iff the
+    division of f by g, under the ring's default order, leaves no
+    remainder; the cofactor is then the quotient.
+    """
+    (quotient,), remainder = division(f, [g], f.ring.default_order)
+    return quotient if remainder.is_zero() else None
+
+
+def exact_divide(f, g):
+    """f / g, raising if g does not divide f."""
+    if g.is_zero():
+        raise InvalidInput("division by zero polynomial")
+    quotient = exact_quotient(f, g)
+    if quotient is None:
+        raise InvalidInput("not an exact division")
+    return quotient
 
 
 def normal_form(f, divisors, order):

@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import GuardExceeded, Guards, InvalidInput, VariableClash
-from .groebner import division, groebner_basis, normal_form
+from .groebner import exact_divide, groebner_basis, normal_form
 from .orders import MonomialOrder
 from .rings import PolyRing
 
@@ -95,11 +95,8 @@ def intersect(I, J):
     t = big.var(t_name)
     gens = [t * big.transport(g) for g in I.generators]
     gens += [(big.one() - t) * big.transport(g) for g in J.generators]
-    order = MonomialOrder.elimination([big.var_index(t_name)], big.nvars)
-    gb = groebner_basis(gens, order)
-    t_i = big.var_index(t_name)
-    out = [ring.transport(g) for g in gb if all(e[t_i] == 0 for e in g.terms)]
-    return Ideal(ring, out)
+    inter = eliminate(Ideal(big, gens), {t_name})
+    return Ideal(ring, [ring.transport(g) for g in inter.generators])
 
 
 def quotient(I, f):
@@ -111,13 +108,7 @@ def quotient(I, f):
     if I.is_zero():
         return Ideal(I.ring)
     inter = intersect(I, Ideal(I.ring, [f]))
-    gens = []
-    for g in inter.generators:
-        (cof,), rem = division(g, [f], g.ring.default_order)
-        if not rem.is_zero():
-            raise InvalidInput("internal: intersection element not divisible")
-        gens.append(cof)
-    return Ideal(I.ring, gens)
+    return Ideal(I.ring, [exact_divide(g, f) for g in inter.generators])
 
 
 def _rabinowitsch(I, f):

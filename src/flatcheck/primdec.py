@@ -32,13 +32,13 @@ from typing import List
 from .errors import Guards, InvalidInput, NotZeroDimensional
 from .funcfield import (
     derivative_in,
-    exact_divide,
     ff_factor,
     ff_gcd_in_t,
     ff_squarefree_part,
     multivariate_gcd,
     primitive_part_in,
 )
+from .groebner import exact_divide
 from .ideals import (
     Ideal,
     _extended_ring,
@@ -349,17 +349,14 @@ def _prime_key(P):
 
 
 def _irredundant(comps):
-    """Merge same-prime primaries, drop redundant components, sort."""
-    by_prime = {}
-    for c in comps:
-        key = _prime_key(c.prime)
-        if key in by_prime:
-            prev = by_prime[key]
-            merged = _reduced(intersect(prev.primary, c.primary))
-            by_prime[key] = PrimaryComponent(merged, prev.prime)
-        else:
-            by_prime[key] = c
-    items = [by_prime[k] for k in sorted(by_prime)]
+    """Drop redundant components and sort the rest by prime.
+
+    No two components share a prime, so none are merged.  `decompose`
+    follows one chain J_(k+1) = J_k + <h_k^(s_k)>: the primes found at
+    level k do not contain h_k, and those of every later level do.
+    Within one level, the leaves come from coprime factors over Q(U).
+    """
+    items = sorted(comps, key=lambda c: _prime_key(c.prime))
     # Drop any component containing the intersection of the others.
     changed = True
     while changed and len(items) > 1:

@@ -14,7 +14,6 @@ from flatcheck.factor import (
     _factor_mod_p,
     factor_squarefree,
     factor_univariate,
-    squarefree_factorization,
 )
 from flatcheck.rings import PolyRing
 
@@ -132,21 +131,21 @@ def brute_force_irreducible(f):
 
 def test_squarefree_examples():
     f = X**2 * (X + 1)
-    parts = squarefree_factorization(f)
+    parts = factor_univariate(f)
     assert sorted((str(p), m) for p, m in parts.factors) == [("x", 2), ("x + 1", 1)]
     assert parts.reassemble() == f
 
     g = X**2 + 1
-    parts = squarefree_factorization(g)
+    parts = factor_univariate(g)
     assert [(str(p), m) for p, m in parts.factors] == [("x^2 + 1", 1)]
 
     h = (X - 1) ** 3
-    parts = squarefree_factorization(h)
+    parts = factor_univariate(h)
     assert [(str(p), m) for p, m in parts.factors] == [("x - 1", 3)]
 
 
 def test_squarefree_part():
-    parts = squarefree_factorization(X**3 * (X - 2) ** 2)
+    parts = factor_univariate(X**3 * (X - 2) ** 2)
     product = RING.one()
     for p, _ in parts.factors:
         product = product * p
@@ -156,7 +155,7 @@ def test_squarefree_part():
 def test_squarefree_rejects_multivariate():
     ring = PolyRing(("x", "y"))
     with pytest.raises(InvalidInput):
-        squarefree_factorization(ring.var("x") * ring.var("y"))
+        factor_univariate(ring.var("x") * ring.var("y"))
 
 
 def test_factor_examples():
@@ -248,7 +247,7 @@ def test_factor_agrees_with_oracle_on_random_inputs():
             continue
         fac = factor_univariate(f)
         assert fac.reassemble() == f
-        squarefree = all(m == 1 for _, m in squarefree_factorization(f).factors)
+        squarefree = all(m == 1 for _, m in fac.factors)
         integral_monic = all(c.denominator == 1 for c in coeffs_of(f.monic()))
         if squarefree and integral_monic:
             irreducible = len(fac.factors) == 1 and fac.factors[0][1] == 1

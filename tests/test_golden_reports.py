@@ -80,8 +80,8 @@ def test_report_matches_golden(case):
 
 def test_every_bundled_problem_has_a_golden_report_and_a_readme_row():
     readme = (GOLDEN.parent.parent / "README.md").read_text(encoding="utf-8")
-    names = sorted(p.stem for p in Path(problems.path("douady")).parent.glob("*.flat"))
-    assert len(names) >= 10
+    names = sorted(p.stem for p in Path(problems.__file__).parent.glob("*.flat"))
+    assert names
     for name in names:
         assert (GOLDEN / f"check-flat--{name}.json").is_file(), name
         assert f"| `{name}.flat` |" in readme, name
