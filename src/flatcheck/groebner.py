@@ -33,20 +33,29 @@ def _same_ring(polys):
     return rings.pop() if rings else None
 
 
-def _reduce(p, table, leads, guard, quotients=None):
+def _reduce(p, table, leads, guard, quotients=None, memo=None):
     """Fraction-free remainder of the packed integer term map p (consumed).
 
     Divisor j is table[j] = (form, lead, lc, degree) as returned by
-    Polynomial.packed_form, and leads[j] is its lead; the first divisor
-    whose lead divides the lead of p (the mask test with the order's
-    `guard`) is used.  A step cancels that lead by p <- a*p - b*x^m*form,
-    with a = lc/d > 0, b = coeff/d and d = +-gcd(coeff, lc), and
-    multiplies the running scale by a.  Returns (r, scale): a packed
-    integer term map r, none of whose monomials a lead divides, with
-    scale*p == r modulo the divisors.  With a list `quotients` (one dict
-    per divisor), a step also records (b, scale) under the packed m in
-    quotients[j]: the cofactor term b/scale*x^m.  Every step polls the
-    active guards for time and for the degree of what is left to divide.
+    Polynomial.packed_form, and leads[j] is its lead; only the divisors
+    listed in leads are used, and of those the first whose lead divides
+    the lead of p (the mask test with the order's `guard`).  A step
+    cancels that lead by p <- a*p - b*x^m*form, with a = lc/d > 0,
+    b = coeff/d and d = +-gcd(coeff, lc), and multiplies the running
+    scale by a.  Returns (r, scale): a packed integer term map r, none of
+    whose monomials a lead divides, with scale*p == r modulo the
+    divisors.  With a list `quotients` (one dict per divisor), a step
+    also records (b, scale) under the packed m in quotients[j]: the
+    cofactor term b/scale*x^m.  Every step polls the active guards for
+    time and, when a degree cap is set, for the degree of what is left
+    to divide.
+
+    `memo` maps a packed monomial to the index where the search for its
+    first dividing lead resumes: the index of that lead once found, else
+    the count of leads known not to divide it.  Either way no earlier
+    lead divides it, so one memo stays exact over calls whose leads are
+    prefixes of one list that only grows by appends; without one, every
+    search starts at the first lead.
     """
     # Remainder terms with the scale at the step that set them aside;
     # scaling them up to the final scale once, at the end, costs one
@@ -54,16 +63,23 @@ def _reduce(p, table, leads, guard, quotients=None):
     aside = []
     scale = 1
     guards = Guards.current()
+    check_time = guards.check_time
+    capped = guards.max_degree is not None
+    if memo is None:
+        memo = {}
+    n = len(leads)
     while p:
-        guards.check_time()
+        check_time()
         lead = max(p)
-        for j, divisor in enumerate(leads):
-            m = lead - divisor
+        for j in range(memo.get(lead, 0), n):
+            m = lead - leads[j]
             if not m & guard:
                 break
         else:
+            memo[lead] = n
             aside.append((lead, p.pop(lead), scale))
             continue
+        memo[lead] = j
         form, _, lc, degree = table[j]
         if (m & DEGREE_MASK) + degree >= DEGREE_LIMIT:
             raise GuardExceeded("exponent", "total degree too large to pack")
@@ -91,7 +107,8 @@ def _reduce(p, table, leads, guard, quotients=None):
                     p[key] = s
                 else:
                     del p[key]
-        guards.check_degree(k & DEGREE_MASK for k in p)
+        if capped:
+            guards.check_degree(k & DEGREE_MASK for k in p)
     return {e: c * (scale // at) for e, c, at in aside}, scale
 
 
@@ -121,7 +138,9 @@ def _to_polynomial(ring, r, w, order):
         nums[x] = c
         terms[x] = Fraction(c * num) if den == 1 else Fraction(c * num, den)
         check()
-    f = Polynomial(ring, terms)
+    # The core's term maps hold no zero coefficient, and num > 0, so no
+    # term of `terms` is zero.
+    f = Polynomial(ring, terms, _nonzero=True)
     f._int = (nums, Fraction(den, num))
     lead = max(r)
     x = unpack(lead)
@@ -232,6 +251,12 @@ def _s_polynomial(f, g, L):
 def buchberger(gens, order, use_coprime=True, use_chain=True):
     """A (non-reduced) Groebner basis of the ideal generated by gens.
 
+    Returns the basis as (form, lead, lc, degree) entries, the shape of
+    Polynomial.packed_form: first the packed forms of the non-zero gens,
+    then each new element as a primitive integer term map with a
+    positive leading coefficient (the integer form of a monic
+    polynomial).  `reduce_basis` turns them into polynomials.
+
     Pair selection is the normal strategy.  Pairs wait in a heap keyed by
     the total degree of their lcm, each lcm computed once when its pair
     is made; ties go to the lower index pair (i, j).  The coprime-lead and
@@ -245,16 +270,13 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
     candidates k are then the set bits of partners[i] & partners[j],
     which never include i or j, and each takes one mask test.
 
-    S-polynomials are formed and reduced over Z, on the primitive integer
-    forms of the elements keyed by packed monomials; only non-zero
-    remainders are turned back into (monic) rational polynomials.
+    S-polynomials are formed and reduced over Z, keyed by packed
+    monomials.  The lead list only grows by appends, so all reductions
+    share one first-divisor memo (see `_reduce`).
     """
     guards = Guards.current()
     G = [g for g in gens if not g.is_zero()]
     _same_ring(G)
-    if not G:
-        return []
-    ring = G[0].ring
     pack, unpack, guard = order.pack, order.unpack, order.guard
     # Divisor table and packed leads, extended with each new element; the
     # leads as exponent tuples serve only to form the lcm of a new pair.
@@ -273,6 +295,7 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
     heapq.heapify(pairs)
     partners = [0] * len(G)
     processed = 0
+    memo = {}
 
     while pairs:
         guards.check_time()
@@ -293,52 +316,65 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
             if common:
                 continue
         s = _s_polynomial(table[i], table[j], L)
-        r, _ = _reduce(s, table, leads, guard)
+        r, _ = _reduce(s, table, leads, guard, memo=memo)
         if not r:
             continue
-        guards.check_degree(k & DEGREE_MASK for k in r)
-        g = _to_polynomial(ring, r, r[max(r)], order)
-        G.append(g)
-        table.append(g.packed_form(order))
-        leads.append(table[-1][1])
-        exponents.append(g.leading_term(order)[0])
+        degree = max(k & DEGREE_MASK for k in r)
+        guards.check_degree((degree,))
+        r, _ = _primitive(r)
+        lead = max(r)
+        lc = r[lead]
+        if lc < 0:
+            r = {e: -c for e, c in r.items()}
+            lc = -lc
+        table.append((r, lead, lc, degree))
+        leads.append(lead)
+        exponents.append(unpack(lead))
         partners.append(0)
-        new = len(G) - 1
+        new = len(table) - 1
         for k in range(new):
             guards.check_time()
             L = pack(lcm(exponents[k], exponents[new]))
             heapq.heappush(pairs, (L & DEGREE_MASK, k, new, L))
-    return G
+    return table
 
 
-def reduce_basis(G, order):
-    """Unique reduced basis: monic, auto-reduced, sorted by leading monomial."""
-    polys = [g for g in G if not g.is_zero()]
-    if not polys:
-        return GroebnerBasis((), order)
-    ring = _same_ring(polys)
+def reduce_basis(ring, basis, order):
+    """The unique reduced basis, as monic polynomials of ring.
+
+    basis holds (form, lead, lc, degree) entries as `buchberger` returns
+    them.  The result is auto-reduced and sorted by leading monomial,
+    largest first.
+
+    The minimal entries are sorted by lead, and a monomial below lead i
+    can only be divided by a smaller lead, so entry i is reduced against
+    the prefix table[:i] alone: the same remainder as against all the
+    other entries.  Every reduction thus searches a prefix of one lead
+    list, so all of them share one first-divisor memo (see `_reduce`).
+    """
     guard = order.guard
-    # Minimalize: drop generators whose lead is divisible by another lead.
+    # Minimalize: drop entries whose lead is divisible by another lead.
     # The sort is stable, so of equal leads the first listed one stays.
     table = []
-    for entry in sorted((g.packed_form(order) for g in polys), key=lambda t: t[1]):
+    for entry in sorted(basis, key=lambda t: t[1]):
         if any(not (entry[1] - kept[1]) & guard for kept in table):
             continue
         table.append(entry)
-    # Fully reduce each against the others.  The reduced element is the
-    # monic remainder, whatever scale the integer forms carry.
+    # Fully reduce each against the smaller ones.  No lead divides its
+    # own lead, so that lead stays; the reduced element is the monic
+    # remainder, whatever scale the integer forms carry.
+    leads = [t[1] for t in table]
+    memo = {}
     reduced = []
-    for i, (form, _, _, _) in enumerate(table):
-        others = table[:i] + table[i + 1:]
-        r, _ = _reduce(dict(form), others, [t[1] for t in others], guard)
-        if r:
-            lead = max(r)
-            reduced.append((lead, _to_polynomial(ring, r, r[lead], order)))
-    reduced.sort(key=lambda t: t[0], reverse=True)
-    return GroebnerBasis(tuple(f for _, f in reduced), order)
+    for i, (form, lead, _, _) in enumerate(table):
+        r, _ = _reduce(dict(form), table, leads[:i], guard, memo=memo)
+        reduced.append(_to_polynomial(ring, r, r[lead], order))
+    reduced.reverse()
+    return GroebnerBasis(tuple(reduced), order)
 
 
 def groebner_basis(gens, order, use_coprime=True, use_chain=True):
     """Reduced Groebner basis of <gens> under order."""
-    G = buchberger(gens, order, use_coprime, use_chain)
-    return reduce_basis(G, order)
+    gens = [g for g in gens if not g.is_zero()]
+    ring = _same_ring(gens)
+    return reduce_basis(ring, buchberger(gens, order, use_coprime, use_chain), order)

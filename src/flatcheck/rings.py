@@ -8,9 +8,11 @@ coefficients, so two polynomials are equal iff their term maps are equal.
 The Groebner core works on another view of the same polynomial, cached
 per order by `Polynomial.packed_form`: a primitive integer term map keyed
 by the order's packed monomials (see `orders`), one int per monomial.
-The polynomials the Groebner core returns come with these caches (and
-the leading term) already filled from the integer map they were
-computed as; see `groebner._to_polynomial`.
+Its intermediates stay in that view: Buchberger's new elements become
+polynomials only in the reduced basis.  The polynomials the Groebner core returns come with
+these caches (and the leading term) already filled from the integer map
+they were computed as, and skip the zero filter of the constructor,
+since that map holds no zero; see `groebner._to_polynomial`.
 """
 
 from __future__ import annotations
@@ -124,11 +126,13 @@ class Polynomial:
 
     __slots__ = ("ring", "terms", "_hash", "_lt", "_int", "_packed")
 
-    def __init__(self, ring, terms):
+    def __init__(self, ring, terms, *, _nonzero=False):
         self.ring = ring
-        self.terms: Dict[Tuple[int, ...], Fraction] = {
-            e: c for e, c in terms.items() if c != 0
-        }
+        # Private to the Groebner core: `_nonzero` vouches that the map,
+        # which the polynomial takes over, holds no zero coefficient.
+        self.terms: Dict[Tuple[int, ...], Fraction] = (
+            terms if _nonzero else {e: c for e, c in terms.items() if c != 0}
+        )
         self._hash = None
         self._lt = {}
         self._int = None

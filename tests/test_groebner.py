@@ -2,6 +2,7 @@
 
 import heapq
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from flatcheck._kernels import monomial_div, monomial_divides, monomial_lcm, monomial_mul
 from flatcheck.errors import GuardExceeded
 from flatcheck.groebner import (
+    GroebnerBasis,
     Guards,
     _reduce,
     _s_polynomial,
@@ -20,7 +22,7 @@ from flatcheck.groebner import (
     reduce_basis,
 )
 from flatcheck.ideals import Ideal
-from flatcheck.orders import DEGREE_MASK, MonomialOrder
+from flatcheck.orders import DEGREE_LIMIT, DEGREE_MASK, MonomialOrder
 from flatcheck.rings import PolyRing, Polynomial, _primitive
 
 from conftest import nonzero_random_poly
@@ -108,7 +110,7 @@ def test_reduce_basis_cases(qxy):
     gb = groebner_basis([x, x + y], LEX2)
     assert sorted(map(str, gb)) == ["x", "y"]
     # idempotence
-    again = reduce_basis(list(gb), LEX2)
+    again = reduce_basis(qxy, [g.packed_form(LEX2) for g in gb], LEX2)
     assert list(again) == list(gb)
     # monic normalization
     gb2 = groebner_basis([2 * x], LEX2)
@@ -268,31 +270,38 @@ def test_pair_ties_go_to_the_lower_index():
     # appends x1*x3^4 and x2^3*x3^2 in the opposite order.
     gens, order = _cyclic4()
     G = buchberger(gens, order)
-    assert [g.leading_term(order)[0] for g in G[len(gens):]] == [
+    assert [order.unpack(lead) for _, lead, _, _ in G[len(gens):]] == [
         (0, 2, 0, 0), (0, 1, 2, 0), (0, 1, 1, 2),
         (0, 1, 0, 4), (0, 0, 3, 2), (0, 0, 2, 4),
     ]
+
+
+def _assert_monic_entry(ring, entry, order):
+    """entry is the packed form of a monic polynomial: a primitive integer
+    term map with a positive leading coefficient, as `buchberger` appends."""
+    form, lead, lc, _ = entry
+    monic = Polynomial(ring, {order.unpack(e): Fraction(c, lc) for e, c in form.items()})
+    assert lc > 0 and entry == monic.packed_form(order)
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
 def test_buchberger_appends_monic_elements(system):
     gens, order = system()
     G = buchberger(gens, order)
-    assert G[: len(gens)] == gens
-    assert all(g.leading_term(order)[1] == 1 for g in G[len(gens):])
+    assert G[: len(gens)] == [g.packed_form(order) for g in gens]
+    for entry in G[len(gens):]:
+        _assert_monic_entry(gens[0].ring, entry, order)
 
 
 def _reference_buchberger(gens, order, use_coprime=True, use_chain=True):
     """buchberger with the chain criterion as a scan over every lead and a
-    set of the popped pairs: the rule that the partner bitmasks replace."""
-    G = [g for g in gens if not g.is_zero()]
-    if not G:
-        return []
-    table = [g.packed_form(order) for g in G]
+    set of the popped pairs: the rule that the partner bitmasks replace.
+    Every reduction searches the divisors afresh, with no memo."""
+    table = [g.packed_form(order) for g in gens if not g.is_zero()]
     leads = [t[1] for t in table]
     exponents = [order.unpack(lead) for lead in leads]
     pairs = []
-    for j in range(1, len(G)):
+    for j in range(1, len(table)):
         for i in range(j):
             L = order.pack(monomial_lcm(exponents[i], exponents[j]))
             pairs.append((L & DEGREE_MASK, i, j, L))
@@ -314,15 +323,16 @@ def _reference_buchberger(gens, order, use_coprime=True, use_chain=True):
             continue
         r, _ = _primitive(r)
         lead = max(r)
-        G.append(_to_polynomial(G[0].ring, r, r[lead], order))
+        if r[lead] < 0:
+            r = {e: -c for e, c in r.items()}
         table.append((r, lead, r[lead], max(k & DEGREE_MASK for k in r)))
         leads.append(lead)
         exponents.append(order.unpack(lead))
-        new = len(G) - 1
+        new = len(table) - 1
         for k in range(new):
             L = order.pack(monomial_lcm(exponents[k], exponents[new]))
             heapq.heappush(pairs, (L & DEGREE_MASK, k, new, L))
-    return G
+    return table
 
 
 TOGGLES = [(True, True), (True, False), (False, True), (False, False)]
@@ -400,7 +410,7 @@ def test_property_suite_full():
         # Criteria toggles never change the reduced basis.
         for coprime, chain in ((False, False), (True, False), (False, True)):
             toggled = reduce_basis(
-                buchberger(gens, order, use_coprime=coprime, use_chain=chain), order
+                ring, buchberger(gens, order, use_coprime=coprime, use_chain=chain), order
             )
             assert list(toggled) == list(reference)
 
@@ -421,11 +431,181 @@ def test_property_suite_matches_the_reference_chain_scan():
             )
 
 
+def test_property_suite_matches_sympy():
+    """Test-only oracle: every reduced basis of the property suite, under
+    lex and under degrevlex, equals sympy's (skipped without sympy)."""
+    sympy = pytest.importorskip("sympy")
+    checked = 0
+    for ring, gens, _, _ in SUITE:
+        symbols = sympy.symbols(ring.variables)
+        exprs = [
+            sympy.Poly.from_dict(
+                {e: sympy.Rational(c.numerator, c.denominator) for e, c in g.terms.items()},
+                *symbols,
+            ).as_expr()
+            for g in gens
+        ]
+        for order, name in (
+            (MonomialOrder.lex(ring.nvars), "lex"),
+            (MonomialOrder.degrevlex(ring.nvars), "grevlex"),
+        ):
+            expected = sympy.groebner(exprs, *symbols, order=name, domain=sympy.QQ)
+            assert list(groebner_basis(gens, order)) == [
+                Polynomial(ring, {e: Fraction(int(c.p), int(c.q)) for e, c in p.terms()})
+                for p in expected.polys
+            ]
+            checked += 1
+    assert checked == 400
+
+
+# -- the first-divisor memo and the guards of the reduction loop -----------------
+
+
+def _memo_cases():
+    """(ring, buchberger's entries, order) for SYSTEMS and the property suite."""
+    for system in SYSTEMS:
+        gens, order = system()
+        yield gens[0].ring, buchberger(gens, order), order
+    for ring, gens, order, _ in SUITE:
+        yield ring, buchberger(gens, order), order
+
+
+class _CountingMemo(dict):
+    """A first-divisor memo that counts the lookups it answers."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        if key in self:
+            self.hits += 1
+        return super().get(key, default)
+
+
+def test_shared_memo_over_a_growing_lead_list_matches_a_fresh_scan():
+    """One memo, reused while the lead list grows by appends as in
+    buchberger, gives each reduction the remainder and scale of a search
+    from the first lead, and records only leads that do not divide."""
+    hits = 0
+    for _, entries, order in _memo_cases():
+        guard = order.guard
+        leads, memo = [], _CountingMemo()
+        for k, entry in enumerate(entries):
+            leads.append(entry[1])
+            # The S-polynomials of the newest entry with up to four before it.
+            for earlier in entries[max(0, k - 4):k]:
+                L = order.pack(monomial_lcm(order.unpack(earlier[1]), order.unpack(entry[1])))
+                s = _s_polynomial(earlier, entry, L)
+                assert _reduce(dict(s), entries, leads, guard, memo=memo) == _reduce(
+                    dict(s), entries, leads, guard
+                )
+        for monomial, resume in memo.items():
+            assert all((monomial - lead) & guard for lead in leads[:resume])
+        hits += memo.hits
+    assert hits > 10_000
+
+
+def _reference_reduce_basis(ring, basis, order):
+    """reduce_basis with each minimal entry reduced by a fresh scan of all
+    the others, table[:i] + table[i+1:]: the rule the prefix memo replaces."""
+    table = []
+    for entry in sorted(basis, key=lambda t: t[1]):
+        if any(not (entry[1] - kept[1]) & order.guard for kept in table):
+            continue
+        table.append(entry)
+    reduced = []
+    for i, (form, _, _, _) in enumerate(table):
+        others = table[:i] + table[i + 1:]
+        r, _ = _reduce(dict(form), others, [t[1] for t in others], order.guard)
+        lead = max(r)
+        reduced.append((lead, _to_polynomial(ring, r, r[lead], order)))
+    reduced.sort(key=lambda t: t[0], reverse=True)
+    return GroebnerBasis(tuple(f for _, f in reduced), order)
+
+
+def test_reduce_basis_prefix_memo_matches_a_scan_of_all_the_others():
+    for ring, entries, order in _memo_cases():
+        # The whole basis, and a first half that need not be a basis.
+        for basis in (entries, entries[: (len(entries) + 1) // 2]):
+            assert reduce_basis(ring, basis, order) == _reference_reduce_basis(
+                ring, basis, order
+            )
+
+
+class _DegreeRecorder(Guards):
+    """Guards that record the largest total degree polled."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.seen = 0
+
+    def check_degree(self, degrees):
+        degrees = list(degrees)
+        self.seen = max(self.seen, max(degrees, default=0))
+        super().check_degree(degrees)
+
+
+def _degree(f):
+    return max(map(sum, f.terms))
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
+def test_degree_cap_is_polled_inside_the_reduction_loop(system):
+    gens, order = system()
+    reference = groebner_basis(gens, order)
+    with _DegreeRecorder(max_degree=DEGREE_LIMIT) as recorder:
+        assert groebner_basis(gens, order) == reference
+    top = recorder.seen
+    # Only what is left to divide in a reduction reaches the top degree.
+    assert top > max(map(_degree, gens)) and top > max(map(_degree, reference))
+    for cap in (top, top + 1, 10 * top):
+        with Guards(max_degree=cap):
+            assert groebner_basis(gens, order) == reference
+    for cap in (top - 1, 1):
+        with pytest.raises(GuardExceeded) as exc, Guards(max_degree=cap):
+            groebner_basis(gens, order)
+        assert exc.value.guard == "degree"
+    # The cap of 1 trips within a reduction step.
+    assert "_reduce" in [entry.name for entry in exc.traceback]
+
+
+@dataclass
+class _TimeRunsOut(Guards):
+    """Guards whose time runs out at poll number `at` of check_time."""
+
+    at: int = 1
+
+    def check_time(self):
+        self.at -= 1
+        if self.at <= 0:
+            raise GuardExceeded("time")
+
+
+def test_time_guard_trips_in_the_middle_of_a_reduction():
+    gens, order = _katsura3()
+    entries = buchberger(gens, order)
+    leads = [t[1] for t in entries]
+    probe = nonzero_random_poly(gens[0].ring, random.Random(5), max_terms=6, max_deg=5)
+    p = probe.packed_form(order)[0]
+    fresh = _reduce(dict(p), entries, leads, order.guard)
+    memo = {}
+    with pytest.raises(GuardExceeded) as exc, Guards(timeout=0.0):
+        _reduce(dict(p), entries, leads, order.guard, memo=memo)
+    assert exc.value.guard == "time"
+    assert [entry.name for entry in exc.traceback[-2:]] == ["_reduce", "check_time"]
+    # A reduction cut after some steps leaves the memo exact for the next one.
+    for at in (2, 5, 20):
+        with pytest.raises(GuardExceeded) as exc, _TimeRunsOut(at=at):
+            _reduce(dict(p), entries, leads, order.guard, memo=memo)
+        assert exc.value.guard == "time"
+        assert _reduce(dict(p), entries, leads, order.guard, memo=memo) == fresh
+
+
 def _assert_seeded_caches(g, order):
     """g's integer form, packed form and leading term under order are
     seeded, and equal what the same terms compute from scratch."""
     fresh = Polynomial(g.ring, dict(g.terms))
     key = order.descriptor
+    assert g.terms == fresh.terms
     assert g._int is not None and key in g._packed and key in g._lt
     assert g._int == fresh.integer_form()
     assert g._packed[key] == fresh.packed_form(order)
@@ -437,19 +617,19 @@ def test_outputs_keep_their_integer_forms():
     seeded = 0
     for ring, gens, order, sub in SUITE:
         rng = random.Random(sub + 2)
-        G = buchberger(gens, order)
-        for g in G[len(gens):]:
-            _assert_seeded_caches(g, order)
-        for g in groebner_basis(gens, order):
+        for entry in buchberger(gens, order)[len(gens):]:
+            _assert_monic_entry(ring, entry, order)
+        basis = list(groebner_basis(gens, order))
+        for g in basis:
             _assert_seeded_caches(g, order)
         # Rescaled terms: fractional coefficients and negative leads.
         divisors = [_rescale_terms(g, rng) for g in gens]
         f = _rescale_terms(nonzero_random_poly(ring, rng, max_terms=4, max_deg=4), rng)
         _, rem = division(f, divisors, order)
-        for r in (rem, normal_form(f, divisors, order), normal_form(f, G, order)):
+        for r in (rem, normal_form(f, divisors, order), normal_form(f, basis, order)):
             if not r.is_zero():
                 _assert_seeded_caches(r, order)
-        seeded += len(G) - len(gens) + (not rem.is_zero())
+        seeded += len(basis) + (not rem.is_zero())
     assert seeded > 200
 
 
