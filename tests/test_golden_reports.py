@@ -50,6 +50,11 @@ CASES = (
     + [("check-flat", name, ()) for name in
        ("cone-a1-normalization", "cone-a2-normalization", "cone-a1-monic",
         "cone-a1-blowup-chart")]
+    # Printed lex bases and decompositions in the cones' 5-variable rings.
+    + [(command, name, extra) for command, extra in
+       (("gb", ("--order", "lex")), ("primdec", ()))
+       for name in ("cone-a1-normalization", "cone-a2-normalization",
+                    "cone-a1-monic", "cone-a1-blowup-chart")]
 )
 
 
