@@ -6,11 +6,14 @@ variable.  An order spec is a tuple of blocks; each block is a pair
 ``indices`` the variable positions the block compares.  Blocks are
 compared left to right.
 
-The Groebner core does not use these kernels on its terms: it works on
-packed monomial keys (`orders.MonomialOrder.pack`), where a product is one
-int addition and a divisibility test one mask test.  The kernels serve the
-exponent-tuple paths around it: polynomial arithmetic in `rings`, leading
-terms, and the lcm of each new Buchberger pair.
+The program compares monomials only by their packed keys
+(`orders.MonomialOrder.pack`), where a product is one int addition and a
+divisibility test one mask test.  It still calls two kernels here:
+`monomial_mul`, in the polynomial arithmetic of `rings`, and
+`monomial_lcm`, for the lcm of each new Buchberger pair.  The others
+(`monomial_div`, `monomial_divides`, `total_degree`, `monomial_cmp`,
+`leading_exponent`, `find_divisor`) stay for perfbench's tracer, which
+wraps all eight by name, and as independent oracles for the tests.
 """
 
 IMPLEMENTATION = "pure"

@@ -41,8 +41,7 @@ from .factor import (
 )
 from .groebner import _reduce, exact_divide, exact_quotient
 from .ideals import Ideal, intersect
-from .orders import DEGREE_MASK
-from .rings import Polynomial, VarMap, _primitive
+from .rings import Polynomial, VarMap, _packed_entry, _primitive
 
 # Recombination tries at most this many subsets of the lifted factors.
 MAX_SUBSETS = 100000
@@ -107,13 +106,12 @@ def _divides(c, a, order):
     """True iff the integer term map c divides a.
 
     {c} is a Groebner basis of its own ideal, so c divides a iff the
-    fraction-free reduction of a by c leaves no remainder.
+    fraction-free reduction of a by c leaves no remainder.  Raises
+    GuardExceeded("exponent") if either has a total degree too large to
+    pack.
     """
-    pack = order.pack
-    form = {pack(e): v for e, v in c.items()}
-    lead = max(form)
-    entry = (form, lead, form[lead], max(k & DEGREE_MASK for k in form))
-    r, _ = _reduce({pack(e): v for e, v in a.items()}, [entry], [lead], order.guard)
+    entry = _packed_entry(c, order)
+    r, _ = _reduce(_packed_entry(a, order)[0], [entry], [entry[1]], order.guard)
     return not r
 
 

@@ -117,9 +117,10 @@ def _to_polynomial(ring, r, w, order):
 
     r is divided by its content first, so that the Fractions are built
     from the smallest integers; the loop polls the time guard per term.
-    Its caches hold what `integer_form`, `packed_form(order)` and
-    `leading_term(order)` would compute from its terms: its integer form
-    is the primitive r, negated when the scale g / w is negative.
+    Its caches hold what `integer_form` and `packed_form(order)` would
+    compute from its terms (and `leading_term(order)` reads the latter):
+    its integer form is the primitive r, negated when the scale g / w is
+    negative.
     """
     r, g = _primitive(r)
     if not r:
@@ -143,9 +144,7 @@ def _to_polynomial(ring, r, w, order):
     f = Polynomial(ring, terms, _nonzero=True)
     f._int = (nums, Fraction(den, num))
     lead = max(r)
-    x = unpack(lead)
     f._packed[order.descriptor] = (r, lead, r[lead], max(k & DEGREE_MASK for k in r))
-    f._lt[order.descriptor] = (x, terms[x])
     return f
 
 
@@ -248,7 +247,7 @@ def _s_polynomial(f, g, L):
     return s
 
 
-def buchberger(gens, order, use_coprime=True, use_chain=True):
+def buchberger(gens, order):
     """A (non-reduced) Groebner basis of the ideal generated by gens.
 
     Returns the basis as (form, lead, lc, degree) entries, the shape of
@@ -259,9 +258,8 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
 
     Pair selection is the normal strategy.  Pairs wait in a heap keyed by
     the total degree of their lcm, each lcm computed once when its pair
-    is made; ties go to the lower index pair (i, j).  The coprime-lead and
-    chain criteria can be toggled for the equivalence tests; they never
-    change the reduced basis obtained afterwards.
+    is made; ties go to the lower index pair (i, j).  A pair is skipped
+    when its leads are coprime, or by the chain criterion.
 
     The chain criterion skips a pair (i, j) with lcm L when the lead of
     some third element k divides L and the pairs {i, k} and {j, k} have
@@ -304,17 +302,16 @@ def buchberger(gens, order, use_coprime=True, use_chain=True):
         partners[j] |= 1 << i
         processed += 1
         guards.check_pairs(processed)
-        if use_coprime and L == leads[i] + leads[j]:
+        if L == leads[i] + leads[j]:
             continue
-        if use_chain:
-            common = partners[i] & partners[j]
-            while common:
-                low = common & -common
-                if not (L - leads[low.bit_length() - 1]) & guard:
-                    break
-                common ^= low
-            if common:
-                continue
+        common = partners[i] & partners[j]
+        while common:
+            low = common & -common
+            if not (L - leads[low.bit_length() - 1]) & guard:
+                break
+            common ^= low
+        if common:
+            continue
         s = _s_polynomial(table[i], table[j], L)
         r, _ = _reduce(s, table, leads, guard, memo=memo)
         if not r:
@@ -373,8 +370,8 @@ def reduce_basis(ring, basis, order):
     return GroebnerBasis(tuple(reduced), order)
 
 
-def groebner_basis(gens, order, use_coprime=True, use_chain=True):
+def groebner_basis(gens, order):
     """Reduced Groebner basis of <gens> under order."""
     gens = [g for g in gens if not g.is_zero()]
     ring = _same_ring(gens)
-    return reduce_basis(ring, buchberger(gens, order, use_coprime, use_chain), order)
+    return reduce_basis(ring, buchberger(gens, order), order)

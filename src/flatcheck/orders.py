@@ -3,10 +3,12 @@
 Orders are global (1 is minimal) by construction: every block kind is a
 well-ordering on its own variables and the blocks partition all of them.
 
-Each order also packs an exponent vector into one int (Monagan & Pearce,
-*Sparse polynomial division using a heap*, JSC 46, 2011), the monomial
-key of the Groebner core.  The key is a row of FIELD_BITS-wide fields,
-each a non-negative linear form in the exponents.  From the top:
+Each order packs an exponent vector into one int (Monagan & Pearce,
+*Sparse polynomial division using a heap*, JSC 46, 2011).  The packed key
+is the order: the program compares monomials only through it, in the
+Groebner core, in leading terms and in printed terms.  The key is a row
+of FIELD_BITS-wide fields, each a non-negative linear form in the
+exponents.  From the top:
 
 * one field per variable from the order spec: a lex block on (i1..ik)
   gives e_i1, ..., e_ik; a degrevlex block gives its degree, then
@@ -36,8 +38,7 @@ import weakref
 from operator import mul
 from struct import Struct
 
-from . import _kernels
-from .errors import Guards, InvalidInput, VariableClash
+from .errors import Guards, InvalidInput
 
 FIELD_BITS = 32  # MonomialOrder reads keys as 32-bit words
 DEGREE_MASK = (1 << FIELD_BITS) - 1
@@ -51,10 +52,11 @@ _SHARED = weakref.WeakValueDictionary()
 class MonomialOrder:
     """A total, multiplicative, global order on exponent vectors.
 
-    ``spec`` is a tuple of ``(kind, indices)`` blocks consumed by the
-    monomial kernels; ``nvars`` is the ambient variable count.  ``pack``
-    and ``unpack`` convert to and from the packed keys described in the
-    module docstring; ``guard`` holds the top bit of each of their fields.
+    ``spec`` is a tuple of ``(kind, indices)`` blocks, leftmost block
+    first, from which the key's fields are built; ``nvars`` is the
+    ambient variable count.  ``pack`` and ``unpack`` convert to and from
+    the packed keys described in the module docstring; ``guard`` holds
+    the top bit of each of their fields.
     """
 
     __slots__ = (
@@ -141,25 +143,6 @@ class MonomialOrder:
     def descriptor(self):
         """Stable string key, used for per-ideal basis caches."""
         return self._descriptor
-
-    def compare(self, a, b):
-        if len(a) != self.nvars or len(b) != self.nvars:
-            raise VariableClash("exponent length does not match order arity")
-        return _kernels.monomial_cmp(a, b, self.spec)
-
-    def key(self, exponent):
-        """Sort key: key(a) < key(b) iff a < b under this order."""
-        parts = []
-        for kind, indices in self.spec:
-            if kind == "degrevlex":
-                parts.append(sum(exponent[i] for i in indices))
-                parts.extend(-exponent[i] for i in reversed(indices))
-            else:
-                parts.extend(exponent[i] for i in indices)
-        return tuple(parts)
-
-    def leading(self, exponents):
-        return _kernels.leading_exponent(exponents, self.spec)
 
     def pack(self, exponent):
         """The packed key of an exponent vector of total degree < DEGREE_LIMIT."""

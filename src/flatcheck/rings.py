@@ -5,12 +5,14 @@ a polynomial is an immutable map from exponent tuples to nonzero Fraction
 coefficients, tagged with its ambient ring.  Canonical form stores no zero
 coefficients, so two polynomials are equal iff their term maps are equal.
 
-The Groebner core works on another view of the same polynomial, cached
-per order by `Polynomial.packed_form`: a primitive integer term map keyed
-by the order's packed monomials (see `orders`), one int per monomial.
-Its intermediates stay in that view: Buchberger's new elements become
-polynomials only in the reduced basis.  The polynomials the Groebner core returns come with
-these caches (and the leading term) already filled from the integer map
+A polynomial caches two other views of itself: `integer_form`, its
+primitive integer term map, and per order `packed_form`, that map keyed
+by the order's packed monomials (see `orders`), with its lead.  The
+packed keys are the only way monomials are compared: the Groebner core
+runs on them, and `leading_term` and `sorted_terms` read them.  Groebner
+intermediates stay in the packed view: Buchberger's new elements become
+polynomials only in the reduced basis.  The polynomials the Groebner
+core returns come with both caches already filled from the integer map
 they were computed as, and skip the zero filter of the constructor,
 since that map holds no zero; see `groebner._to_polynomial`.
 """
@@ -124,7 +126,7 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial.  Arithmetic is exact."""
 
-    __slots__ = ("ring", "terms", "_hash", "_lt", "_int", "_packed")
+    __slots__ = ("ring", "terms", "_hash", "_int", "_packed")
 
     def __init__(self, ring, terms, *, _nonzero=False):
         self.ring = ring
@@ -134,7 +136,6 @@ class Polynomial:
             terms if _nonzero else {e: c for e, c in terms.items() if c != 0}
         )
         self._hash = None
-        self._lt = {}
         self._int = None
         self._packed = {}
 
@@ -168,25 +169,21 @@ class Polynomial:
         return used
 
     def leading_term(self, order=None):
-        """(exponent, coefficient) of the largest monomial under order."""
-        if self.is_zero():
-            raise InvalidInput("zero polynomial has no leading term")
+        """(exponent, coefficient) of the largest monomial under order.
+
+        The lead is packed_form's, so this raises as packed_form does.
+        """
         order = order or self.ring.default_order
-        key = order.descriptor
-        hit = self._lt.get(key)
-        if hit is None:
-            exp = order.leading(self.terms.keys())
-            hit = (exp, self.terms[exp])
-            self._lt[key] = hit
-        return hit
+        x = order.unpack(self.packed_form(order)[1])
+        return x, self.terms[x]
 
     def integer_form(self):
         """(P, k): the primitive integer term map P = k * self, k a Fraction.
 
         P has integer coefficients with gcd 1 (the zero polynomial gives
-        ({}, 1)).  Cached like the leading terms; Groebner reductions run
-        on P and convert back to rationals only at the end.  The Groebner
-        core seeds this cache on the polynomials it returns.
+        ({}, 1)).  Cached; Groebner reductions run on P and convert back
+        to rationals only at the end.  The Groebner core seeds this cache
+        on the polynomials it returns.
         """
         hit = self._int
         if hit is None:
@@ -206,11 +203,9 @@ class Polynomial:
 
         P maps the order's packed monomials to the integer coefficients of
         integer_form; lead is P's largest key, lc its coefficient and
-        degree the largest total degree of a term.  Cached per order like
-        the leading terms; the Groebner core seeds the entry for its order
-        on the polynomials it returns.  Raises GuardExceeded("exponent") if
-        a total degree reaches orders.DEGREE_LIMIT, where packing would
-        overflow.
+        degree the largest total degree of a term.  Cached per order; the
+        Groebner core seeds the entry for its order on the polynomials it
+        returns.  Raises GuardExceeded("exponent") as `_packed_entry` does.
         """
         if self.is_zero():
             raise InvalidInput("zero polynomial has no leading term")
@@ -218,19 +213,20 @@ class Polynomial:
         key = order.descriptor
         hit = self._packed.get(key)
         if hit is None:
-            nums = self.integer_form()[0]
-            degree = max(map(sum, nums))
-            if degree >= DEGREE_LIMIT:
-                raise GuardExceeded("exponent", "total degree too large to pack")
-            pack = order.pack
-            form = {pack(e): c for e, c in nums.items()}
-            lead = max(form)
-            hit = self._packed[key] = (form, lead, form[lead], degree)
+            hit = self._packed[key] = _packed_entry(self.integer_form()[0], order)
         return hit
 
     def sorted_terms(self, order=None):
+        """The (exponent, coefficient) terms, largest monomial first.
+
+        Sorted by packed_form's keys, so this raises as packed_form does.
+        """
+        if self.is_zero():
+            return []
         order = order or self.ring.default_order
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        unpack, terms = order.unpack, self.terms
+        keys = sorted(self.packed_form(order)[0], reverse=True)
+        return [(x, terms[x]) for x in map(unpack, keys)]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -379,6 +375,23 @@ def _primitive(terms):
     if g == 0:
         return terms, 1
     return {e: c // g for e, c in terms.items()}, g
+
+
+def _packed_entry(nums, order):
+    """(form, lead, lc, degree) for a non-empty integer term map nums.
+
+    form maps order's packed monomials to the coefficients of nums, lead
+    is its largest key, lc that key's coefficient and degree the largest
+    total degree of a term.  Raises GuardExceeded("exponent") if a total
+    degree reaches orders.DEGREE_LIMIT, where packing would overflow.
+    """
+    degree = max(map(sum, nums))
+    if degree >= DEGREE_LIMIT:
+        raise GuardExceeded("exponent", "total degree too large to pack")
+    pack = order.pack
+    form = {pack(e): c for e, c in nums.items()}
+    lead = max(form)
+    return form, lead, form[lead], degree
 
 
 def poly_to_string(f):

@@ -101,6 +101,17 @@ def test_timeout_trips_inside_multivariate_gcd():
     assert exc.value.guard == "time"
 
 
+def test_gcd_trial_division_trips_the_exponent_guard():
+    # A candidate or input of total degree 2^31 cannot be packed.
+    order = PolyRing(("u", "t")).default_order
+    small, big = {(1, 0): 1}, {(2**31 - 1, 1): 1}
+    assert funcfield._divides(small, {(2, 0): 3}, order)
+    for c, a in ((big, small), (small, big)):
+        with pytest.raises(GuardExceeded) as exc:
+            funcfield._divides(c, a, order)
+        assert exc.value.guard == "exponent"
+
+
 def test_gcd_of_coprime_is_unit():
     ring = PolyRing(("u", "t"))
     u, t = ring.gens()

@@ -2,31 +2,45 @@
 
 import gc
 import random
+from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
 from flatcheck import orders
-from flatcheck._kernels import monomial_divides, monomial_mul
+from flatcheck._kernels import monomial_cmp, monomial_divides, monomial_mul
 from flatcheck.errors import GuardExceeded, Guards
 from flatcheck.orders import MonomialOrder
-from flatcheck.rings import PolyRing
+from flatcheck.rings import PolyRing, Polynomial
+
+
+def _sign(order, a, b):
+    """-1, 0 or 1 as a <, =, > b by their packed keys."""
+    diff = order.pack(a) - order.pack(b)
+    return (diff > 0) - (diff < 0)
 
 
 def test_lex_first_exponent_wins():
     ord2 = MonomialOrder.lex(2)
     # x^2 vs x*y under lex with x > y
-    assert ord2.compare((2, 0), (1, 1)) > 0
+    assert _sign(ord2, (2, 0), (1, 1)) > 0
 
 
 def test_reflexivity():
+    rng = random.Random(7)
     for order in (MonomialOrder.lex(3), MonomialOrder.degrevlex(3)):
-        assert order.compare((1, 2, 3), (1, 2, 3)) == 0
+        assert _sign(order, (1, 2, 3), (1, 2, 3)) == 0
+        # ... and only equal vectors compare equal.
+        for _ in range(300):
+            a = tuple(rng.randint(0, 3) for _ in range(3))
+            b = tuple(rng.randint(0, 3) for _ in range(3))
+            assert (_sign(order, a, b) == 0) == (a == b)
 
 
 def test_degrevlex_equal_degree_case():
     # degrevlex x>y>z: xz vs y^2 (both degree 2) -> LESS
     order = MonomialOrder.degrevlex(3)
-    assert order.compare((1, 0, 1), (0, 2, 0)) < 0
+    assert _sign(order, (1, 0, 1), (0, 2, 0)) < 0
 
 
 def test_orders_are_global():
@@ -43,7 +57,7 @@ def test_orders_are_global():
         if m == one:
             continue
         for order in orders:
-            assert order.compare(one, m) < 0
+            assert _sign(order, one, m) < 0
 
 
 def test_multiplicativity():
@@ -58,23 +72,34 @@ def test_multiplicativity():
         b = tuple(rng.randint(0, 4) for _ in range(3))
         c = tuple(rng.randint(0, 4) for _ in range(3))
         for order in orders:
-            rel = order.compare(a, b)
-            assert order.compare(monomial_mul(a, c), monomial_mul(b, c)) == rel
+            rel = _sign(order, a, b)
+            assert _sign(order, monomial_mul(a, c), monomial_mul(b, c)) == rel
 
 
 def test_elimination_block_dominates():
     # Any positive power of a dropped variable beats everything in the tail.
     order = MonomialOrder.elimination([0], 3)
-    assert order.compare((1, 0, 0), (0, 9, 9)) > 0
+    assert _sign(order, (1, 0, 0), (0, 9, 9)) > 0
 
 
-def test_key_agrees_with_compare():
+def test_sorted_terms_follow_the_order():
     rng = random.Random(9)
-    for order in (MonomialOrder.lex(3), MonomialOrder.degrevlex(3)):
-        mons = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(30)]
-        by_key = sorted(mons, key=order.key)
-        for a, b in zip(by_key, by_key[1:]):
-            assert order.compare(a, b) <= 0
+    ring = PolyRing(("x", "y", "z"))
+    for order in (
+        MonomialOrder.lex(3),
+        MonomialOrder.degrevlex(3),
+        MonomialOrder.elimination([1], 3),
+    ):
+        for _ in range(20):
+            mons = {tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(30)}
+            f = Polynomial(ring, {m: Fraction(rng.randint(1, 9)) for m in mons})
+            expected = sorted(
+                mons, key=cmp_to_key(lambda a, b: monomial_cmp(a, b, order.spec)),
+                reverse=True,
+            )
+            terms = [(e, f.terms[e]) for e in expected]
+            assert f.sorted_terms(order) == terms
+            assert f.leading_term(order) == terms[0]
 
 
 def test_descriptor_distinguishes_orders():
@@ -177,8 +202,7 @@ def test_packed_keys_compare_like_the_order():
     ties = 0
     for order in PACKED_ORDERS:
         for a, b in _pairs(13):
-            diff = order.pack(a) - order.pack(b)
-            assert (diff > 0) - (diff < 0) == order.compare(a, b)
+            assert _sign(order, a, b) == monomial_cmp(a, b, order.spec)
             ties += a == b
     assert ties > 0
 
