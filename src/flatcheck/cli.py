@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .dsl import build_problem, parse_problem
 from .errors import FlatcheckError, GuardExceeded, Guards
@@ -19,7 +18,7 @@ from .ideals import Ideal, contract_to_base, eliminate
 from .orders import MonomialOrder
 from .primdec import decompose
 from .report import Report, render_report
-from .rings import PolyRing
+from .rings import PolyRing, poly_to_string
 
 COMMANDS = (
     "check-flat",
@@ -137,6 +136,11 @@ def _run_one(command, path, args):
                       error=f"{path}: {exc}"), 2
 
 
+def _basis(gb):
+    """A reduced basis as strings, each with its terms under the basis's order."""
+    return [poly_to_string(g, gb.order) for g in gb]
+
+
 def _ideal_command(command, pf, args):
     """The payload of a standalone ideal command."""
     I = _target_ideal(pf, args)
@@ -147,15 +151,14 @@ def _ideal_command(command, pf, args):
             if args.order == "lex"
             else MonomialOrder.degrevlex(I.ring.nvars)
         )
-        gb = I.groebner(order)
-        payload["basis"] = [str(g) for g in gb]
+        payload["basis"] = _basis(I.groebner(order))
         payload["order"] = args.order
     elif command == "primdec":
         dec = decompose(I)
         payload["components"] = [
             {
-                "primary": [str(g) for g in c.primary.groebner()],
-                "prime": [str(g) for g in c.prime.groebner()],
+                "primary": _basis(c.primary.groebner()),
+                "prime": _basis(c.prime.groebner()),
             }
             for c in dec.components
         ]
@@ -165,14 +168,14 @@ def _ideal_command(command, pf, args):
             raise FlatcheckError("eliminate requires --vars v1,v2,...")
         drop = [v.strip() for v in args.vars.split(",") if v.strip()]
         E = eliminate(I, drop)
-        payload["basis"] = [str(g) for g in E.groebner()]
+        payload["basis"] = _basis(E.groebner())
         payload["ring"] = list(E.ring.variables)
     elif command == "contract":
         if pf.base_name is None:
             raise FlatcheckError("contract requires a declared base ring")
         base_ring = PolyRing(pf.rings[pf.base_name].variables)
         C = contract_to_base(I, base_ring)
-        payload["basis"] = [str(g) for g in C.groebner()]
+        payload["basis"] = _basis(C.groebner())
         payload["ring"] = list(base_ring.variables)
     else:  # pragma: no cover - argparse restricts the choices
         raise FlatcheckError(f"unknown command {command!r}")
@@ -187,6 +190,11 @@ def main(argv=None):
     args = _build_argparser().parse_args(argv)
     work = [(args.command, path, args) for path in args.files]
     if args.jobs > 1 and len(work) > 1:
+        # Imported here: the pool pulls in multiprocessing, socket, pickle
+        # and subprocess, which only a parallel run needs, and loading them
+        # at import would lengthen every CLI start.
+        from concurrent.futures import ProcessPoolExecutor
+
         # The executor starts all its workers up front, so ask for no more
         # than there are files.
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(work))) as pool:

@@ -54,7 +54,9 @@ class Ideal:
         return not self.generators
 
     def is_unit(self):
-        return self.contains(self.ring.one())
+        # A reduced basis of the unit ideal is exactly [1], and a basis with
+        # a nonzero constant generates the unit ideal, so no division is needed.
+        return any(g.is_constant() for g in self.groebner())
 
     def equals(self, other):
         if self.ring != other.ring:
@@ -191,10 +193,10 @@ def independent_set(I):
     polling the time guard per set: there are up to 2^n of them.
     None for the unit ideal.
     """
+    if I.is_unit():
+        return None
     ring = I.ring
     gb = I.groebner()
-    if any(g.is_constant() and not g.is_zero() for g in gb):
-        return None
     lms = [g.leading_term(gb.order)[0] for g in gb]
     n = ring.nvars
     check = Guards.current().check_time

@@ -394,12 +394,15 @@ def _packed_entry(nums, order):
     return form, lead, form[lead], degree
 
 
-def poly_to_string(f):
-    """Render in the problem-file syntax: `4*y1^3 + 27*y2^2`."""
+def poly_to_string(f, order=None):
+    """Render in the problem-file syntax: `4*y1^3 + 27*y2^2`.
+
+    Terms come largest first under order (default: the ring's order).
+    """
     if f.is_zero():
         return "0"
     parts = []
-    for exps, coeff in f.sorted_terms():
+    for exps, coeff in f.sorted_terms(order):
         factors = []
         for i, e in enumerate(exps):
             if e == 1:

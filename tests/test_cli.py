@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, and report schema."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -12,7 +13,10 @@ import pytest
 import flatcheck
 from flatcheck import cli, problems
 from flatcheck.cli import main
+from flatcheck.dsl import parse_problem
+from flatcheck.orders import MonomialOrder
 from flatcheck.report import SCHEMA_VERSION
+from flatcheck.rings import Polynomial
 
 REPORT_KEYS = {
     "schema_version",
@@ -137,6 +141,25 @@ def test_gb_lex(tiny_file, capsys):
     assert code == 0
     assert rep["payload"]["order"] == "lex"
     assert sorted(rep["payload"]["basis"]) == sorted(["x - y", "y^2 - 1"])
+
+
+@pytest.mark.parametrize("name", ["douady", "blowup", "cone-a1-monic"])
+def test_gb_lex_prints_each_lex_lead_first(name, capsys):
+    path = problems.path(name)
+    code, rep = run_json(["gb", path, "--order", "lex"], capsys)
+    assert code == 0
+    with open(path, encoding="utf-8") as fh:
+        pf = parse_problem(fh.read())
+    I = cli._target_ideal(pf, cli._build_argparser().parse_args(["gb", path]))
+    order = MonomialOrder.lex(I.ring.nvars)
+    basis = list(I.groebner(order))
+    leads = [Polynomial(I.ring, dict([g.leading_term(order)])) for g in basis]
+    # The first term is printed with its sign, and terms are joined by " + "
+    # or " - ", so the first space ends it.
+    assert [s.split(" ")[0] for s in rep["payload"]["basis"]] == [str(m) for m in leads]
+    # Some lex lead is not the lead under the ring's degrevlex order.
+    assert any(m != Polynomial(I.ring, dict([g.leading_term()]))
+               for g, m in zip(basis, leads))
 
 
 def test_primdec_command(tiny_file, capsys):
@@ -332,7 +355,8 @@ def test_jobs_asks_for_no_more_workers_than_files(monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
+    # main imports the executor when it needs it, so patch it at its source.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
     paths = [problems.path("xy-collapse"), problems.path("free-module")]
     code, out = run_cli(["check-flat", *paths, "--jobs", "64"], capsys)
     assert code == 0
@@ -405,19 +429,37 @@ def test_help_names_every_command_and_flag(capsys):
         assert name in out
 
 
-def _run_module(module, argv=None, timeout=None):
+def _run_python(args, timeout=None):
     # The child imports the same flatcheck as this process, also when only
     # pytest's `pythonpath` setting put it on sys.path.
     env = dict(os.environ)
     src = str(Path(flatcheck.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", module, *(argv or ["gb", problems.path("xy-collapse")])],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def _run_module(module, argv=None, timeout=None):
+    argv = argv or ["gb", problems.path("xy-collapse")]
+    return _run_python(["-m", module, *argv], timeout=timeout)
+
+
+def test_cli_starts_without_the_process_pool():
+    # Only a --jobs run over several files needs the pool; importing the CLI
+    # or running it on one file must not load it.
+    pool = "('concurrent.futures', 'multiprocessing')"
+    code = (
+        "import flatcheck.cli, sys\n"
+        f"print([m for m in {pool} if m in sys.modules])\n"
+        f"flatcheck.cli.main(['gb', {problems.path('xy-collapse')!r}, '--jobs', '4'])\n"
+        f"print([m for m in {pool} if m in sys.modules])\n"
+    )
+    proc = _run_python(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"
+    assert "y*x" in proc.stdout
 
 
 def test_entry_point_subprocess():

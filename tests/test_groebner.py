@@ -428,6 +428,22 @@ def test_property_suite_full():
             assert gb_of_gens.contains(b)
 
 
+def test_is_unit_agrees_with_membership_of_one():
+    units = 0
+    for ring, gens, _, _ in SUITE:
+        I = Ideal(ring, gens)
+        assert I.is_unit() == I.contains(ring.one())
+        units += I.is_unit()
+    assert 0 < units < len(SUITE)
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    zero = Ideal(ring)
+    assert not zero.is_unit() and not zero.contains(ring.one())
+    one = Ideal(ring, [x * y, x * y - 2])
+    assert list(one.groebner()) == [ring.one()]
+    assert one.is_unit() and one.contains(ring.one())
+
+
 def test_property_suite_matches_the_reference_chain_scan():
     for _, gens, order, _ in SUITE:
         assert buchberger(gens, order) == _reference_buchberger(gens, order)
