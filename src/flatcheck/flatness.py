@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import (
     FlatcheckError,
     GuardExceeded,
+    Guards,
     HypothesisViolation,
     InvalidInput,
     VariableClash,
@@ -158,17 +159,18 @@ def build_fibred_power(base, module, n, cover=None):
     """
     if n < 1:
         raise InvalidInput("fibred power requires n >= 1")
-    y = list(base.ring.variables)
     xs = module.module_vars
-    names = list(y)
+    names = dict.fromkeys(base.ring.variables)  # the big ring's, in order
     copies = []  # per k: {module var -> big name}
+    check = Guards.current().check_time
     for k in range(1, n + 1):
+        check()
         labelling = {}
         for v in xs:
             name = f"{v}__{k}"
             if name in names:
                 raise VariableClash(f"factor-copy name {name!r} already taken")
-            names.append(name)
+            names[name] = None
             labelling[v] = name
         copies.append(labelling)
     renames = {}
@@ -179,7 +181,7 @@ def build_fibred_power(base, module, n, cover=None):
                 name = "u_" + name
             if name != v:
                 renames[v] = name
-            names.append(name)
+            names[name] = None
     big = PolyRing(names)
     gens = [big.transport(g) for g in base.q.generators]
     for labelling in copies:

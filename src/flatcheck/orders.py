@@ -1,6 +1,6 @@
 """Monomial orders: lex, degrevlex, and block orders for elimination.
 
-Orders are global (1 is minimal) by construction: every block kind is a
+Orders are global (1 is minimal) by construction: every block is a
 well-ordering on its own variables and the blocks partition all of them.
 
 Each order packs an exponent vector into one int (Monagan & Pearce,
@@ -26,60 +26,72 @@ DEGREE_LIMIT every field keeps its top bit clear and:
   of any field sets that field's top bit, a bit of ``guard``;
 * pack(a) & DEGREE_MASK is the total degree of a.
 
-The constructors (`lex`, `degrevlex`, `block`, `elimination`) share one
-instance per ``(kind, spec, nvars)`` among all live rings and ideals.
-The instances are held weakly, so an order is built again only after
-its last user is gone.  A shared order must never be mutated.
+Orders are interned for the life of the process: ``MonomialOrder(spec,
+nvars)`` and the constructors `lex`, `degrevlex` and `elimination` give
+one instance per key layout, that is per normalized ``(spec, nvars)``,
+so equal layouts share one descriptor and one Groebner-basis cache
+entry.  An order is never mutated.  An order on more than MAX_VARS
+variables is refused before anything is built.
 """
 
 from __future__ import annotations
 
-import weakref
 from operator import mul
 from struct import Struct
 
-from .errors import Guards, InvalidInput
+from .errors import GuardExceeded, Guards, InvalidInput
 
 FIELD_BITS = 32  # MonomialOrder reads keys as 32-bit words
 DEGREE_MASK = (1 << FIELD_BITS) - 1
 # Packed keys stay valid while total degrees stay below this.
 DEGREE_LIMIT = 1 << (FIELD_BITS - 1)
+# The weights of n variables take n*(2n+1)*FIELD_BITS bits, 134 MB at
+# this bound, and every order built is kept.
+MAX_VARS = 4096
 
-# The live orders, by (kind, normalized spec, nvars).
-_SHARED = weakref.WeakValueDictionary()
+# Every order built, by (normalized spec, nvars).
+_SHARED = {}
 
 
 class MonomialOrder:
     """A total, multiplicative, global order on exponent vectors.
 
-    ``spec`` is a tuple of ``(kind, indices)`` blocks, leftmost block
-    first, from which the key's fields are built; ``nvars`` is the
-    ambient variable count.  ``pack`` and ``unpack`` convert to and from
-    the packed keys described in the module docstring; ``guard`` holds
-    the top bit of each of their fields.
+    ``spec`` is a tuple of ``("lex" | "degrevlex", indices)`` blocks,
+    leftmost block first, from which the key's fields are built;
+    ``nvars`` is the ambient variable count.  ``descriptor`` is a stable
+    string for the layout, the key of per-ideal basis caches.  ``pack``
+    and ``unpack`` convert to and from the packed keys described in the
+    module docstring; ``guard`` holds the top bit of each of their fields.
     """
 
-    __slots__ = (
-        "kind", "spec", "nvars", "_descriptor", "_weights", "_raw", "guard", "__weakref__"
-    )
+    __slots__ = ("spec", "nvars", "descriptor", "_weights", "_raw", "guard")
 
-    def __init__(self, kind, spec, nvars):
+    def __new__(cls, spec, nvars):
+        """The order for spec, built and entered in the table if new.
+
+        An order is entered only once built, so a construction cut short
+        by a guard leaves nothing behind.
+        """
+        if nvars > MAX_VARS:
+            raise GuardExceeded("exponent", "too many variables to pack")
+        spec = tuple((k, tuple(ix)) for k, ix in spec)
+        order = _SHARED.get((spec, nvars))
+        if order is not None:
+            return order
         seen = []
         for k, indices in spec:
             if k not in ("lex", "degrevlex"):
-                raise InvalidInput(f"unknown block kind {k!r}")
+                raise InvalidInput(f"unknown block order {k!r}")
             seen.extend(indices)
         if sorted(seen) != list(range(nvars)):
             raise InvalidInput("order blocks must partition the ring variables")
-        self.kind = kind
-        self.spec = tuple((k, tuple(ix)) for k, ix in spec)
-        self.nvars = nvars
-        self._descriptor = kind + ":" + ";".join(
-            f"{k}({','.join(map(str, ix))})" for k, ix in self.spec
-        )
+        order = super().__new__(cls)
+        order.spec = spec
+        order.nvars = nvars
+        order.descriptor = ";".join(f"{k}({','.join(map(str, ix))})" for k, ix in spec)
         # The variables each field sums, most significant field first.
         fields = []
-        for k, ix in self.spec:
+        for k, ix in spec:
             if k == "degrevlex":
                 fields.extend(ix[:end] for end in range(len(ix), 0, -1))
             else:
@@ -95,54 +107,27 @@ class MonomialOrder:
             shift -= FIELD_BITS
             for i in summed:
                 weights[i] |= 1 << shift
-        self._weights = tuple(weights)
+        order._weights = tuple(weights)
         # A key's bytes, big-endian and in 32-bit words: n order fields,
         # the n raw exponents and the degree field.
-        self._raw = Struct(f">{4 * nvars}x{nvars}I4x")
-        self.guard = int.from_bytes(b"\x80\0\0\0" * len(fields), "big")
-
-    @classmethod
-    def _shared(cls, kind, spec, nvars):
-        """The live order for (kind, spec, nvars), built if there is none.
-
-        An order is entered only once built, so a construction cut short
-        by a guard leaves nothing behind.
-        """
-        key = (kind, tuple((k, tuple(ix)) for k, ix in spec), nvars)
-        order = _SHARED.get(key)
-        if order is None:
-            order = _SHARED[key] = cls(kind, spec, nvars)
-        return order
+        order._raw = Struct(f">{4 * nvars}x{nvars}I4x")
+        order.guard = int.from_bytes(b"\x80\0\0\0" * len(fields), "big")
+        return _SHARED.setdefault((spec, nvars), order)
 
     @classmethod
     def lex(cls, nvars):
-        return cls._shared("lex", (("lex", range(nvars)),), nvars)
+        return cls((("lex", range(nvars)),), nvars)
 
     @classmethod
     def degrevlex(cls, nvars):
-        return cls._shared("degrevlex", (("degrevlex", range(nvars)),), nvars)
+        return cls((("degrevlex", range(nvars)),), nvars)
 
     @classmethod
-    def block(cls, blocks, nvars):
-        """Block order from ``(kind, indices)`` pairs, leftmost block first."""
-        return cls._shared("block", blocks, nvars)
-
-    @classmethod
-    def elimination(cls, drop_indices, nvars, kind="degrevlex"):
+    def elimination(cls, drop_indices, nvars):
         """Dropped variables in a leading degrevlex block, rest after."""
-        drop = tuple(sorted(drop_indices))
-        keep = tuple(i for i in range(nvars) if i not in set(drop))
-        blocks = []
-        if drop:
-            blocks.append((kind, drop))
-        if keep:
-            blocks.append((kind, keep))
-        return cls._shared("block", blocks, nvars)
-
-    @property
-    def descriptor(self):
-        """Stable string key, used for per-ideal basis caches."""
-        return self._descriptor
+        drop = set(drop_indices)
+        blocks = (sorted(drop), [i for i in range(nvars) if i not in drop])
+        return cls([("degrevlex", ix) for ix in blocks if ix], nvars)
 
     def pack(self, exponent):
         """The packed key of an exponent vector of total degree < DEGREE_LIMIT."""
@@ -154,12 +139,10 @@ class MonomialOrder:
         return raw.unpack(key.to_bytes(raw.size, "big"))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder) and self._descriptor == other._descriptor
-        )
+        return isinstance(other, MonomialOrder) and self.descriptor == other.descriptor
 
     def __hash__(self):
-        return hash(self._descriptor)
+        return hash(self.descriptor)
 
     def __repr__(self):
-        return f"MonomialOrder({self._descriptor})"
+        return f"MonomialOrder({self.descriptor})"

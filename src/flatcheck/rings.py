@@ -15,6 +15,10 @@ polynomials only in the reduced basis.  The polynomials the Groebner
 core returns come with both caches already filled from the integer map
 they were computed as, and skip the zero filter of the constructor,
 since that map holds no zero; see `groebner._to_polynomial`.
+
+Rings are interned for the life of the process: `PolyRing(variables)`
+gives one instance per variable tuple, so ring equality is identity and
+`transport` between rings of the same variables is the identity map.
 """
 
 from __future__ import annotations
@@ -30,22 +34,35 @@ from .orders import DEGREE_LIMIT, MonomialOrder
 # Exponents past this are treated as runaway computations, not real inputs.
 EXPONENT_LIMIT = 2**20
 
+# Every ring built, by its variable tuple.
+_RINGS = {}
+
 
 class PolyRing:
     """Q[v1, ..., vk] with a default monomial order (degrevlex)."""
 
     __slots__ = ("variables", "default_order", "_index")
 
-    def __init__(self, variables, default_order=None):
+    def __new__(cls, variables):
+        """The ring on these variables, built and entered in the table if new.
+
+        A ring is entered only once built, so a construction cut short by
+        a guard leaves nothing behind.
+        """
         variables = tuple(variables)
+        ring = _RINGS.get(variables)
+        if ring is not None:
+            return ring
         if len(set(variables)) != len(variables):
             raise VariableClash(f"duplicate variable names in {variables}")
         for v in variables:
             if not v or not (v[0].isalpha() or v[0] == "_"):
                 raise InvalidInput(f"bad variable name {v!r}")
-        self.variables = variables
-        self.default_order = default_order or MonomialOrder.degrevlex(len(variables))
-        self._index = {v: i for i, v in enumerate(variables)}
+        ring = super().__new__(cls)
+        ring.variables = variables
+        ring.default_order = MonomialOrder.degrevlex(len(variables))
+        ring._index = {v: i for i, v in enumerate(variables)}
+        return _RINGS.setdefault(variables, ring)
 
     @property
     def nvars(self):
@@ -112,12 +129,6 @@ class PolyRing:
                 new[pos] = e
             terms[tuple(new)] = c
         return Polynomial(self, terms)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.variables == other.variables
-
-    def __hash__(self):
-        return hash(self.variables)
 
     def __repr__(self):
         return "Q[" + ",".join(self.variables) + "]"

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import flatcheck
-from flatcheck import cli, problems
+from flatcheck import cli, orders, problems, rings
 from flatcheck.cli import main
 from flatcheck.dsl import parse_problem
 from flatcheck.orders import MonomialOrder
@@ -217,6 +217,22 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert "line 1" in rep["error"]
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("ring R = Q[y] / (y^\u00b2);\n", 1, 20),
+        ("ring R = Q[y];\noption power = \u00b2;\n", 2, 16),
+    ],
+)
+def test_a_superscript_digit_is_a_parse_error(text, line, column, tmp_path, capsys):
+    # str.isdigit() holds for "\u00b2" but int() rejects it.
+    bad = tmp_path / "bad.flat"
+    bad.write_text(text, encoding="utf-8")
+    code, rep = run_json(["check-flat", str(bad)], capsys)
+    assert code == 2
+    assert f"'\u00b2' at line {line}, column {column}" in rep["error"]
+
+
 def test_undecodable_file_is_an_input_error(tmp_path, capsys):
     # Not UTF-8: reported as an error, and the next file still runs.
     bad = tmp_path / "bad.flat"
@@ -311,6 +327,19 @@ def test_timeout_guard_reaches_the_parser(case, tmp_path):
     assert json.loads(proc.stdout)["guards"]["tripped"] == "time"
 
 
+def test_a_huge_power_ends_within_its_budget(tmp_path):
+    # The 20001-variable fibred power has more variables than an order can
+    # pack, so its ring is refused before any order is built.
+    huge = tmp_path / "huge.flat"
+    huge.write_text(
+        "ring R = Q[y];\nmodule F over R = Q[y, x] / (x^2 - y);\noption power = 20000;\n"
+    )
+    start = time.monotonic()
+    proc = _run_module("flatcheck", ["check-flat", str(huge), "--timeout", "1"], timeout=60)
+    assert time.monotonic() - start <= 1.5
+    assert proc.returncode == 3
+
+
 # -- determinism and batching --------------------------------------------------------
 
 
@@ -325,6 +354,21 @@ def test_machine_reports_deterministic(capsys):
     _, rep1 = run_json(["check-flat", path, "--seed", "5"], capsys)
     _, rep2 = run_json(["check-flat", path, "--seed", "5"], capsys)
     assert _strip_timings(rep1) == _strip_timings(rep2)
+
+
+def test_a_warm_pass_builds_no_ring_or_order(capsys):
+    corpus = [problems.path(name) for name in ("douady", "blowup", "xy-collapse")]
+    passes = [
+        ["check-flat", *corpus],
+        ["check-flat-regular-source", *corpus],
+    ]
+    for argv in passes:
+        main(argv)
+    built = (len(rings._RINGS), len(orders._SHARED))
+    for argv in passes:
+        main(argv)
+    capsys.readouterr()
+    assert (len(rings._RINGS), len(orders._SHARED)) == built
 
 
 def test_jobs_batch(capsys):

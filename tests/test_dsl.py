@@ -90,6 +90,7 @@ def test_parse_polynomial_expressions():
         "(x + y1)(x - y1)": x**2 - y1**2,
         "2(x+1)": 2 * x + 2,
         "x - -y1": x + y1,
+        "x^\u0663 + \u0662y1": x**3 + 2 * y1,  # decimal digits int() reads
     }
     for text, expected in cases.items():
         assert parse_polynomial(text, ring) == expected, text

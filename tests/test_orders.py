@@ -1,15 +1,15 @@
 """Monomial order axioms and the documented comparison cases."""
 
-import gc
 import random
 from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
 
-from flatcheck import orders
+from flatcheck import orders, rings
 from flatcheck._kernels import monomial_cmp, monomial_divides, monomial_mul
 from flatcheck.errors import GuardExceeded, Guards
+from flatcheck.ideals import Ideal
 from flatcheck.orders import MonomialOrder
 from flatcheck.rings import PolyRing, Polynomial
 
@@ -49,8 +49,8 @@ def test_orders_are_global():
     orders = [
         MonomialOrder.lex(4),
         MonomialOrder.degrevlex(4),
+        MonomialOrder([("lex", (2,)), ("degrevlex", (3, 0)), ("lex", (1,))], 4),
         MonomialOrder.elimination([1, 3], 4),
-        MonomialOrder.elimination([0], 4, kind="lex"),
     ]
     for _ in range(1000):
         m = tuple(rng.randint(0, 5) for _ in range(4))
@@ -118,13 +118,27 @@ def test_equal_specs_share_one_order():
     assert MonomialOrder.lex(3) is lex
     assert MonomialOrder.degrevlex(3) is grevlex
     blocks = [("lex", (2,)), ("degrevlex", (3, 0)), ("lex", (1,))]
-    block = MonomialOrder.block(blocks, 4)
-    assert MonomialOrder.block(tuple((k, list(ix)) for k, ix in blocks), 4) is block
+    block = MonomialOrder(blocks, 4)
+    assert MonomialOrder(tuple((k, list(ix)) for k, ix in blocks), 4) is block
     elim = MonomialOrder.elimination([3, 1], 4)
     assert MonomialOrder.elimination((1, 3), 4) is elim
-    # The same blocks through block() are the same order.
-    assert MonomialOrder.block([("degrevlex", (1, 3)), ("degrevlex", (0, 2))], 4) is elim
+    # The same blocks given directly are the same order.
+    assert MonomialOrder([("degrevlex", (1, 3)), ("degrevlex", (0, 2))], 4) is elim
+    assert MonomialOrder([("lex", range(3))], 3) is lex
     assert PolyRing(("a", "b", "c")).default_order is grevlex
+
+
+def test_equal_layouts_share_one_basis():
+    # Eliminating every variable, or none, leaves one degrevlex block:
+    # the layout of degrevlex(4), so one order and one cache entry.
+    grevlex = MonomialOrder.degrevlex(4)
+    assert MonomialOrder.elimination(range(4), 4) is grevlex
+    assert MonomialOrder.elimination((), 4) is grevlex
+    ring = PolyRing(("a", "b", "c", "d"))
+    a, b, c, d = ring.gens()
+    I = Ideal(ring, [a * b - c, b * d - a**2])
+    gb = I.groebner(MonomialOrder.elimination(range(4), 4))
+    assert I.groebner(grevlex) is gb and list(I._cache) == [grevlex.descriptor]
 
 
 def test_different_specs_give_different_orders():
@@ -132,37 +146,47 @@ def test_different_specs_give_different_orders():
         MonomialOrder.lex(3),
         MonomialOrder.lex(4),
         MonomialOrder.degrevlex(3),
-        MonomialOrder.block([("lex", (0, 1, 2))], 3),
+        MonomialOrder([("lex", (0,)), ("degrevlex", (1, 2))], 3),
+        MonomialOrder([("lex", (1,)), ("degrevlex", (0, 2))], 3),
         MonomialOrder.elimination([1], 3),
         MonomialOrder.elimination([2], 3),
-        MonomialOrder.elimination([1], 3, kind="lex"),
     ]
     assert len({id(order) for order in built}) == len(built)
+    assert len({order.descriptor for order in built}) == len(built)
 
 
-def _live(nvars):
+def _entries(nvars):
     return [order for order in orders._SHARED.values() if order.nvars == nvars]
 
 
-def test_shared_orders_die_with_their_last_user():
+def test_the_table_holds_one_order_per_layout():
     ring = PolyRing(tuple(f"v{i}" for i in range(29)))
-    order = MonomialOrder.degrevlex(29)
-    assert _live(29) == [ring.default_order] and order is ring.default_order
-    del ring
-    gc.collect()
-    assert _live(29) == [order]
-    del order
-    gc.collect()
-    assert _live(29) == []
+    assert _entries(29) == [ring.default_order]
+    assert MonomialOrder.degrevlex(29) is ring.default_order
+    assert MonomialOrder.elimination([0], 29) is MonomialOrder.elimination((0,), 29)
+    assert len(_entries(29)) == 2
 
 
 def test_a_construction_cut_short_leaves_no_entry():
     with pytest.raises(GuardExceeded) as exc, Guards(timeout=0.0):
         MonomialOrder.lex(31)
     assert exc.value.guard == "time"
-    gc.collect()
-    assert _live(31) == []
+    assert _entries(31) == []
     assert MonomialOrder.lex(31).nvars == 31
+    # A ring whose order build trips the guard enters neither table.
+    names = tuple(f"w{i}" for i in range(33))
+    with pytest.raises(GuardExceeded) as exc, Guards(timeout=0.0):
+        PolyRing(names)
+    assert exc.value.guard == "time"
+    assert _entries(33) == [] and names not in rings._RINGS
+    assert PolyRing(names).default_order is MonomialOrder.degrevlex(33)
+
+
+def test_too_many_variables_are_refused_before_building():
+    with pytest.raises(GuardExceeded) as exc:
+        MonomialOrder.degrevlex(orders.MAX_VARS + 1)
+    assert exc.value.guard == "exponent"
+    assert _entries(orders.MAX_VARS + 1) == []
 
 
 # -- packed keys ------------------------------------------------------------------
@@ -170,9 +194,8 @@ def test_a_construction_cut_short_leaves_no_entry():
 PACKED_ORDERS = [
     MonomialOrder.lex(4),
     MonomialOrder.degrevlex(4),
-    MonomialOrder.block([("lex", (2,)), ("degrevlex", (3, 0)), ("lex", (1,))], 4),
+    MonomialOrder([("lex", (2,)), ("degrevlex", (3, 0)), ("lex", (1,))], 4),
     MonomialOrder.elimination([1, 3], 4),
-    MonomialOrder.elimination([0], 4, kind="lex"),
 ]
 
 

@@ -1,6 +1,8 @@
 """Polynomial arithmetic, canonical forms, and variable maps."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -126,6 +128,37 @@ def test_transport_by_name(qxy, qxyz):
     assert str(g) == "x*y + 1"
     with pytest.raises(VariableClash):
         qxy.transport(qxyz.var("z"))
+
+
+def test_rings_are_interned(qxy):
+    assert PolyRing(("x", "y")) is PolyRing(["x", "y"]) is qxy
+    assert PolyRing(("y", "x")) is not qxy
+    # A polynomial of an equal-variable ring needs no rebuilding.
+    f = PolyRing(("x", "y")).var("x") + 1
+    assert qxy.transport(f) is f
+
+
+def test_threads_building_one_ring_get_one_instance():
+    names = tuple(f"t{i}" for i in range(40))
+    start = threading.Barrier(8)
+    built = []
+
+    def build():
+        start.wait(timeout=30)
+        built.append(PolyRing(names))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(built) == 8 and all(ring is PolyRing(names) for ring in built)
 
 
 def test_exponent_overflow_guard(qxy):
