@@ -12,7 +12,7 @@ import sys
 import time
 
 from .dsl import build_problem, parse_problem
-from .errors import FlatcheckError, GuardExceeded, Guards
+from .errors import FlatcheckError, GuardExceeded, Guards, InvalidInput
 from .flatness import check_flatness, check_flatness_regular_source, verify_hypotheses
 from .ideals import Ideal, contract_to_base, eliminate
 from .orders import MonomialOrder
@@ -187,7 +187,12 @@ def _run_one_star(work):
 
 
 def main(argv=None):
-    args = _build_argparser().parse_args(argv)
+    parser = _build_argparser()
+    args = parser.parse_args(argv)
+    try:
+        Guards(timeout=args.timeout)
+    except InvalidInput as exc:
+        parser.error(f"argument --timeout: {exc}")
     work = [(args.command, path, args) for path in args.files]
     if args.jobs > 1 and len(work) > 1:
         # Imported here: the pool pulls in multiprocessing, socket, pickle

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd as int_gcd, isqrt
 from typing import List, Tuple
 
-from .errors import GuardExceeded, Guards, InvalidInput
+from .errors import GuardExceeded, InvalidInput
 from .rings import Polynomial
 
 # Recombination tries at most this many subsets of the modular factors;
@@ -213,7 +213,6 @@ def _factor_mod_p(f, p, rng):
             v = _divmod_p(v, g, p)[0]
             h = _divmod_p(h, v, p)[1]
     # Equal-degree (Cantor-Zassenhaus) phase.
-    guards = Guards.current()
     for d, g in stages:
         work = [g]
         while work:
@@ -222,7 +221,6 @@ def _factor_mod_p(f, p, rng):
                 factors.append(w)
                 continue
             while True:
-                guards.check_time()
                 a = [rng.randrange(p) for _ in range(_deg(w))] + [1]
                 b = _powmod_p(a, (p**d - 1) // 2, w, p)
                 cand = _gcd_p(_add(b, _neg([1])), w, p)
@@ -245,10 +243,8 @@ def _hensel_pair(f, g, h, p, k):
     with the same modulo q2 = min(q^2, p^k).
     """
     s, t = _bezout_p(g, h, p)
-    guards = Guards.current()
     q = p
     while q < p**k:
-        guards.check_time()
         q2 = min(q * q, p**k)
         # With e = f - g*h and s*e = qq*h + r, the pair (g + t*e + qq*g,
         # h + r) has product f modulo q2; deg r < deg h keeps h monic.
@@ -402,10 +398,8 @@ def _recombine(count, current, split, max_subsets, guard):
     remaining = list(range(count))
     tried = 0
     size = 1
-    guards = Guards.current()
     while 2 * size <= len(remaining):
         for combo in itertools.combinations(remaining, size):
-            guards.check_time()
             tried += 1
             if tried > max_subsets:
                 raise GuardExceeded(guard)

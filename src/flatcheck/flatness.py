@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Tuple
 from .errors import (
     FlatcheckError,
     GuardExceeded,
-    Guards,
     HypothesisViolation,
     InvalidInput,
     VariableClash,
@@ -162,9 +161,7 @@ def build_fibred_power(base, module, n, cover=None):
     xs = module.module_vars
     names = dict.fromkeys(base.ring.variables)  # the big ring's, in order
     copies = []  # per k: {module var -> big name}
-    check = Guards.current().check_time
     for k in range(1, n + 1):
-        check()
         labelling = {}
         for v in xs:
             name = f"{v}__{k}"

@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .errors import GuardExceeded, Guards, InvalidInput
+from .errors import GuardExceeded, InvalidInput
 from .factor import (
     _add,
     _deriv,
@@ -136,12 +136,10 @@ def _interpolate(h, i, xi):
     h does not involve x_i; each coefficient of the result is a
     symmetric residue, in (-xi/2, xi/2].
     """
-    guards = Guards.current()
     half = xi // 2
     out = {}
     k = 0
     while h:
-        guards.check_time()
         rest = {}
         for e, c in h.items():
             r = c % xi
@@ -180,9 +178,7 @@ def _heu_gcd(a, b, order):
         return {(0,) * len(next(iter(a))): gamma}
     x = max(i for e in itertools.chain(a, b) for i, k in enumerate(e) if k)
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
-    guards = Guards.current()
     for _ in range(HEU_POINTS):
-        guards.check_time()
         h = _heu_gcd(_evaluate(a, x, xi), _evaluate(b, x, xi), order)
         if h is None:
             return None
@@ -325,10 +321,8 @@ def _evaluate_params(f, t, point):
 
 def _good_point(m, t, params):
     """Integer point where the monic m stays squarefree in t."""
-    guards = Guards.current()
     for radius in range(0, 12):
         for point in itertools.product(range(-radius, radius + 1), repeat=len(params)):
-            guards.check_time()
             if max((abs(x) for x in point), default=0) != radius:
                 continue
             assignment = dict(zip(params, point))
@@ -386,9 +380,7 @@ def ff_factor_squarefree(m, t, params):
     sigma = _param_degree(shifted, t) + 1
     bezout = _bezout_family(gs)
     lifted = [_from_coeffs(ring, t, g) for g in gs]
-    guards = Guards.current()
     for degree in range(1, sigma + 1):
-        guards.check_time()
         prod = ring.one()
         for F in lifted:
             prod = _truncate_param(prod * F, t, sigma)
@@ -404,7 +396,6 @@ def ff_factor_squarefree(m, t, params):
             key = tuple(key)
             slices.setdefault(key, {})[exps[i_t]] = c
         for key, tcoeffs in slices.items():
-            guards.check_time()
             dense = [Fraction(0)] * (max(tcoeffs) + 1)
             for e, c in tcoeffs.items():
                 dense[e] = c

@@ -46,9 +46,8 @@ def _reduce(p, table, leads, guard, quotients=None, memo=None):
     whose monomials a lead divides, with scale*p == r modulo the
     divisors.  With a list `quotients` (one dict per divisor), a step
     also records (b, scale) under the packed m in quotients[j]: the
-    cofactor term b/scale*x^m.  Every step polls the active guards for
-    time and, when a degree cap is set, for the degree of what is left
-    to divide.
+    cofactor term b/scale*x^m.  When a degree cap is set, every step
+    checks it against the degree of what is left to divide.
 
     `memo` maps a packed monomial to the index where the search for its
     first dividing lead resumes: the index of that lead once found, else
@@ -63,13 +62,11 @@ def _reduce(p, table, leads, guard, quotients=None, memo=None):
     aside = []
     scale = 1
     guards = Guards.current()
-    check_time = guards.check_time
     capped = guards.max_degree is not None
     if memo is None:
         memo = {}
     n = len(leads)
     while p:
-        check_time()
         lead = max(p)
         for j in range(memo.get(lead, 0), n):
             m = lead - leads[j]
@@ -116,11 +113,10 @@ def _to_polynomial(ring, r, w, order):
     """The Polynomial r / w, for a packed integer term map r and a non-zero w.
 
     r is divided by its content first, so that the Fractions are built
-    from the smallest integers; the loop polls the time guard per term.
-    Its caches hold what `integer_form` and `packed_form(order)` would
-    compute from its terms (and `leading_term(order)` reads the latter):
-    its integer form is the primitive r, negated when the scale g / w is
-    negative.
+    from the smallest integers.  Its caches hold what `integer_form` and
+    `packed_form(order)` would compute from its terms (and
+    `leading_term(order)` reads the latter): its integer form is the
+    primitive r, negated when the scale g / w is negative.
     """
     r, g = _primitive(r)
     if not r:
@@ -130,7 +126,6 @@ def _to_polynomial(ring, r, w, order):
     if num < 0:
         r = {e: -c for e, c in r.items()}
         num = -num
-    check = Guards.current().check_time
     unpack = order.unpack
     terms = {}
     nums = {}
@@ -138,7 +133,6 @@ def _to_polynomial(ring, r, w, order):
         x = unpack(e)
         nums[x] = c
         terms[x] = Fraction(c * num) if den == 1 else Fraction(c * num, den)
-        check()
     # The core's term maps hold no zero coefficient, and num > 0, so no
     # term of `terms` is zero.
     f = Polynomial(ring, terms, _nonzero=True)
@@ -181,8 +175,7 @@ def division(f, divisors, order):
     f == sum(cofactors[i] * divisors[i]) + remainder, and no term of the
     remainder is divisible by any divisor's leading monomial.  Divisors
     are tried in listed order, so the result is deterministic.  Every
-    step polls the active guards for time and for the degree of what is
-    left to divide.
+    step checks the degree cap against what is left to divide.
     """
     quotients = [{} for _ in divisors]
     remainder = _divide(f, divisors, order, quotients)
@@ -286,7 +279,6 @@ def buchberger(gens, order):
     # the heap order is a total order and the lcms are never compared.
     pairs = []
     for j in range(1, len(G)):
-        guards.check_time()
         for i in range(j):
             L = pack(lcm(exponents[i], exponents[j]))
             pairs.append((L & DEGREE_MASK, i, j, L))
@@ -296,7 +288,6 @@ def buchberger(gens, order):
     memo = {}
 
     while pairs:
-        guards.check_time()
         _, i, j, L = heapq.heappop(pairs)
         partners[i] |= 1 << j
         partners[j] |= 1 << i
@@ -330,7 +321,6 @@ def buchberger(gens, order):
         partners.append(0)
         new = len(table) - 1
         for k in range(new):
-            guards.check_time()
             L = pack(lcm(exponents[k], exponents[new]))
             heapq.heappush(pairs, (L & DEGREE_MASK, k, new, L))
     return table

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import GuardExceeded, Guards, InvalidInput, VariableClash
+from .errors import GuardExceeded, InvalidInput, VariableClash
 from .groebner import exact_divide, groebner_basis, normal_form
 from .orders import MonomialOrder
 from .rings import PolyRing
@@ -139,10 +139,8 @@ def saturate(I, f):
     values of s are tried.
     """
     sat = _saturation(I, f)
-    guards = Guards.current()
     gens = sat.generators
     for exponent in range(SATURATION_STEPS):
-        guards.check_time()
         if all(I.contains(g) for g in gens):
             return sat, exponent
         gens = [g * f for g in gens]
@@ -189,8 +187,7 @@ def dimension(I):
 def independent_set(I):
     """First maximal independent variable set of LT(I), as a name tuple.
 
-    Sets are scanned largest first, in `combinations` order within a size,
-    polling the time guard per set: there are up to 2^n of them.
+    Sets are scanned largest first, in `combinations` order within a size.
     None for the unit ideal.
     """
     if I.is_unit():
@@ -199,11 +196,9 @@ def independent_set(I):
     gb = I.groebner()
     lms = [g.leading_term(gb.order)[0] for g in gb]
     n = ring.nvars
-    check = Guards.current().check_time
     # U independent iff no leading monomial is supported entirely inside U.
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
-            check()
             s = set(subset)
             if all(any(e and i not in s for i, e in enumerate(lm)) for lm in lms):
                 return tuple(ring.variables[i] for i in subset)

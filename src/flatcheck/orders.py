@@ -39,7 +39,7 @@ from __future__ import annotations
 from operator import mul
 from struct import Struct
 
-from .errors import GuardExceeded, Guards, InvalidInput
+from .errors import GuardExceeded, InvalidInput
 
 FIELD_BITS = 32  # MonomialOrder reads keys as 32-bit words
 DEGREE_MASK = (1 << FIELD_BITS) - 1
@@ -89,29 +89,23 @@ class MonomialOrder:
         order.spec = spec
         order.nvars = nvars
         order.descriptor = ";".join(f"{k}({','.join(map(str, ix))})" for k, ix in spec)
-        # The variables each field sums, most significant field first.
-        fields = []
+        # A weight has a one in each field that sums its variable ix[j]: the
+        # run first .. first + len(ix) - 1 - j of a degrevlex block (first + j
+        # alone for lex), the variable's raw field and the degree field.
+        count = 2 * nvars + 1
+        ones = ((1 << FIELD_BITS * count) - 1) // DEGREE_MASK  # a one per field
+        weights = [1 << FIELD_BITS * (nvars - i) | 1 for i in range(nvars)]
+        first = 0
         for k, ix in spec:
-            if k == "degrevlex":
-                fields.extend(ix[:end] for end in range(len(ix), 0, -1))
-            else:
-                fields.extend((i,) for i in ix)
-        fields.extend((i,) for i in range(nvars))
-        fields.append(tuple(range(nvars)))
-        # O(n^2) bits in all for n variables: poll the time guard per field.
-        check = Guards.current().check_time
-        weights = [0] * nvars
-        shift = FIELD_BITS * len(fields)
-        for summed in fields:
-            check()
-            shift -= FIELD_BITS
-            for i in summed:
-                weights[i] |= 1 << shift
+            for j, i in enumerate(ix):
+                top, run = (first, len(ix) - j) if k == "degrevlex" else (first + j, 1)
+                weights[i] |= ones >> FIELD_BITS * (count - run) << FIELD_BITS * (count - top - run)
+            first += len(ix)
         order._weights = tuple(weights)
         # A key's bytes, big-endian and in 32-bit words: n order fields,
         # the n raw exponents and the degree field.
         order._raw = Struct(f">{4 * nvars}x{nvars}I4x")
-        order.guard = int.from_bytes(b"\x80\0\0\0" * len(fields), "big")
+        order.guard = ones << FIELD_BITS - 1
         return _SHARED.setdefault((spec, nvars), order)
 
     @classmethod

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List
 
-from .errors import Guards, InvalidInput, NotZeroDimensional
+from .errors import InvalidInput, NotZeroDimensional
 from .funcfield import (
     derivative_in,
     ff_factor,
@@ -124,8 +124,7 @@ def _dep_lead_exponents(I, dep_names):
 def vector_space_dimension(I, params=()):
     """dim_{Q(params)} of the quotient; requires zero-dim over Q(params).
 
-    Counts the standard monomials in the box of pure-power bounds, polling
-    the time guard per point of the box.
+    Counts the standard monomials in the box of pure-power bounds.
     """
     ring = I.ring
     deps = [v for v in ring.variables if v not in params]
@@ -147,10 +146,8 @@ def vector_space_dimension(I, params=()):
                 f"no pure power of {deps[i]} in the lead-term ideal"
             )
         bounds.append(min(pure))
-    check = Guards.current().check_time
     count = 0
     for exps in itertools.product(*(range(b) for b in bounds)):
-        check()
         if not any(all(l <= e for l, e in zip(lm, exps)) for lm in leads):
             count += 1
     return count

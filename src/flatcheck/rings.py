@@ -28,7 +28,7 @@ from math import gcd, lcm
 from typing import Dict, Tuple
 
 from . import _kernels
-from .errors import GuardExceeded, Guards, InvalidInput, VariableClash
+from .errors import GuardExceeded, InvalidInput, VariableClash
 from .orders import DEGREE_LIMIT, MonomialOrder
 
 # Exponents past this are treated as runaway computations, not real inputs.
@@ -198,11 +198,9 @@ class Polynomial:
         """
         hit = self._int
         if hit is None:
-            check = Guards.current().check_time
             den = 1
             for c in self.terms.values():
                 den = lcm(den, c.denominator)
-                check()
             nums, g = _primitive(
                 {e: c.numerator * (den // c.denominator) for e, c in self.terms.items()}
             )
@@ -277,9 +275,7 @@ class Polynomial:
             a, b = b, a
         out: Dict[Tuple[int, ...], Fraction] = {}
         mul = _kernels.monomial_mul
-        check = Guards.current().check_time
         for ea, ca in a.items():
-            check()
             for eb, cb in b.items():
                 e = mul(ea, eb)
                 s = out.get(e)
@@ -373,16 +369,13 @@ class Polynomial:
 def _primitive(terms):
     """(terms / g, g) for g > 0 the gcd of an integer term map's coefficients.
 
-    The empty map gives g = 1.  Polls the time guard per gcd step: the
-    coefficients may be huge.
+    The empty map gives g = 1.
     """
-    check = Guards.current().check_time
     g = 0
     for c in terms.values():
         g = gcd(g, c)
         if g == 1:
             return terms, 1
-        check()
     if g == 0:
         return terms, 1
     return {e: c // g for e, c in terms.items()}, g

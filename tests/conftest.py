@@ -1,10 +1,13 @@
 """Shared helpers for the test suite."""
 
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
+from flatcheck.errors import GuardExceeded
 from flatcheck.rings import PolyRing
 
 
@@ -41,3 +44,25 @@ def nonzero_random_poly(ring, rng, **kw):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+@contextmanager
+def cut_at_line(k):
+    """Raise GuardExceeded("time") at the k-th line run by the calls made in
+    the block, as a time guard's alarm may land at any point of a run."""
+    seen = 0
+
+    def trace(frame, event, arg):
+        nonlocal seen
+        if event == "line":
+            seen += 1
+            if seen == k:
+                raise GuardExceeded("time")
+        return trace
+
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        yield
+    finally:
+        sys.settrace(before)

@@ -280,12 +280,25 @@ def test_timeout_guard(capsys):
     assert rep["guards"]["tripped"] == "time"
 
 
+def test_a_nan_timeout_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-flat", problems.path("douady"), "--timeout", "nan"])
+    assert exc.value.code == 2
+    assert "--timeout" in capsys.readouterr().err
+
+
+def test_an_infinite_timeout_sets_no_limit(capsys):
+    code, rep = run_json(["check-flat", problems.path("douady"), "--timeout", "inf"], capsys)
+    assert code == 0 and rep["verdict"] == "NON_FLAT"
+
+
 _AS = ", ".join(f"a{i}" for i in range(24))
 # (command, problem file) pairs that each keep one long loop busy for far
 # longer than the budget: expanding a power in the parser, building the
-# order of a 3001-variable ring, pairing the 500 copies of a fibred power,
-# scanning the 2^24 candidate independent sets, and counting the 150^3
-# standard monomials of a zero-dimensional ideal.
+# 3001-variable ring of a fibred power and the rest of its run, pairing the
+# 500 copies of a fibred power, scanning the 2^24 candidate independent
+# sets, counting the 150^3 standard monomials of a zero-dimensional ideal,
+# and factoring y^20000 - 2 modulo a prime while checking the base.
 _SLOW = {
     "parser": (
         "check-flat",
@@ -305,13 +318,17 @@ _SLOW = {
         "primdec",
         "ring R = Q[x, y, z] / (x^150 - 2, y^150 - 3, z^150 - 5);\n",
     ),
+    "univariate-factor": (
+        "check-flat",
+        "ring R = Q[y] / (y^20000 - 2);\nmodule A over R = Q[y, x] / (x - y);\n",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_SLOW))
 def test_timeout_guard_reaches_the_parser(case, tmp_path):
-    # A child process, so that a loop which stops polling the guard fails
-    # the test, not hangs it.
+    # A child process, so that a run which outlives its budget fails the
+    # test, not hangs it.
     command, text = _SLOW[case]
     slow = tmp_path / "slow.flat"
     slow.write_text(text)
@@ -490,9 +507,10 @@ def _run_module(module, argv=None, timeout=None):
 
 
 def test_cli_starts_without_the_process_pool():
-    # Only a --jobs run over several files needs the pool; importing the CLI
-    # or running it on one file must not load it.
-    pool = "('concurrent.futures', 'multiprocessing')"
+    # Only a --jobs run over several files needs the pool, and only a run
+    # with a timeout needs signal; importing the CLI or running it on one
+    # file without a timeout must load neither.
+    pool = "('concurrent.futures', 'multiprocessing', 'signal')"
     code = (
         "import flatcheck.cli, sys\n"
         f"print([m for m in {pool} if m in sys.modules])\n"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from flatcheck import funcfield
-from flatcheck.errors import GuardExceeded, Guards
+from flatcheck.errors import GuardExceeded
 from flatcheck.funcfield import (
     _good_point,
     ff_factor,
@@ -15,6 +15,8 @@ from flatcheck.funcfield import (
     primitive_part_in,
 )
 from flatcheck.rings import Polynomial, PolyRing
+
+from conftest import cut_at_line
 
 
 def _canon(f, var):
@@ -96,9 +98,12 @@ def test_timeout_trips_inside_multivariate_gcd():
     f, g = (t - u) * (t + u), (t - u) * t
     # Warm the integer forms, so that the trip comes from the gcd itself.
     f.integer_form(), g.integer_form()
-    with pytest.raises(GuardExceeded) as exc, Guards(timeout=0):
-        multivariate_gcd(f, g)
-    assert exc.value.guard == "time"
+    want = multivariate_gcd(f, g)
+    for k in (1, 50, 500):
+        with pytest.raises(GuardExceeded) as exc, cut_at_line(k):
+            multivariate_gcd(f, g)
+        assert exc.value.guard == "time"
+        assert multivariate_gcd(f, g) == want
 
 
 def test_gcd_trial_division_trips_the_exponent_guard():
@@ -219,17 +224,21 @@ def test_ff_factor_multiplicities():
 def test_timeout_trips_inside_ff_factor():
     ring = PolyRing(("u", "t"))
     u, t = ring.gens()
-    with pytest.raises(GuardExceeded) as exc, Guards(timeout=0):
-        ff_factor(t**2 - u**2, "t", ["u"])
-    assert exc.value.guard == "time"
+    want = ff_factor(t**2 - u**2, "t", ["u"])
+    for k in (1, 100, 1000, 10000):
+        with pytest.raises(GuardExceeded) as exc, cut_at_line(k):
+            ff_factor(t**2 - u**2, "t", ["u"])
+        assert exc.value.guard == "time"
+        assert ff_factor(t**2 - u**2, "t", ["u"]) == want
 
 
 def test_timeout_trips_inside_good_point_search():
     # At u = 0, t^2 - u is not squarefree, so the search moves on to the
-    # next point; under a spent budget it stops at the first one.
+    # next point; a time trip at any line of the search ends it.
     ring = PolyRing(("u", "t"))
     u, t = ring.gens()
-    with pytest.raises(GuardExceeded) as exc, Guards(timeout=0):
-        _good_point(t**2 - u, "t", ["u"])
-    assert exc.value.guard == "time"
+    for k in (1, 100, 1000):
+        with pytest.raises(GuardExceeded) as exc, cut_at_line(k):
+            _good_point(t**2 - u, "t", ["u"])
+        assert exc.value.guard == "time"
     assert _good_point(t**2 - u, "t", ["u"]) == {"u": -1}

@@ -8,10 +8,12 @@ import pytest
 
 from flatcheck import orders, rings
 from flatcheck._kernels import monomial_cmp, monomial_divides, monomial_mul
-from flatcheck.errors import GuardExceeded, Guards
+from flatcheck.errors import GuardExceeded
 from flatcheck.ideals import Ideal
 from flatcheck.orders import MonomialOrder
 from flatcheck.rings import PolyRing, Polynomial
+
+from conftest import cut_at_line
 
 
 def _sign(order, a, b):
@@ -168,18 +170,56 @@ def test_the_table_holds_one_order_per_layout():
 
 
 def test_a_construction_cut_short_leaves_no_entry():
-    with pytest.raises(GuardExceeded) as exc, Guards(timeout=0.0):
-        MonomialOrder.lex(31)
-    assert exc.value.guard == "time"
-    assert _entries(31) == []
-    assert MonomialOrder.lex(31).nvars == 31
-    # A ring whose order build trips the guard enters neither table.
+    # A time guard's alarm may land at any line of a construction.
+    for k in (1, 10, 40, 100):
+        with pytest.raises(GuardExceeded), cut_at_line(k):
+            MonomialOrder.lex(31)
+        assert _entries(31) == []
+    order = MonomialOrder.lex(31)
+    assert order._weights == _reference_weights(order.spec, 31)
+    # A ring cut short enters no ring; its order is entered only once built.
     names = tuple(f"w{i}" for i in range(33))
-    with pytest.raises(GuardExceeded) as exc, Guards(timeout=0.0):
-        PolyRing(names)
-    assert exc.value.guard == "time"
-    assert _entries(33) == [] and names not in rings._RINGS
+    for k in (1, 10, 100, 200):
+        with pytest.raises(GuardExceeded), cut_at_line(k):
+            PolyRing(names)
+        assert names not in rings._RINGS
+        for order in _entries(33):
+            assert order._weights == _reference_weights(order.spec, 33)
     assert PolyRing(names).default_order is MonomialOrder.degrevlex(33)
+
+
+def _reference_weights(spec, nvars):
+    """The weights set field by field, most significant field first."""
+    fields = []
+    for k, ix in spec:
+        ix = tuple(ix)
+        if k == "degrevlex":
+            fields.extend(ix[:end] for end in range(len(ix), 0, -1))
+        else:
+            fields.extend((i,) for i in ix)
+    fields.extend((i,) for i in range(nvars))
+    fields.append(tuple(range(nvars)))
+    weights = [0] * nvars
+    for f, summed in enumerate(reversed(fields)):
+        for i in summed:
+            weights[i] |= 1 << orders.FIELD_BITS * f
+    return tuple(weights)
+
+
+def test_weights_match_a_field_by_field_build():
+    rng = random.Random(11)
+    for _ in range(200):
+        nvars = rng.randint(1, 40)
+        perm = rng.sample(range(nvars), nvars)
+        spec, start = [], 0
+        while start < nvars:
+            size = rng.randint(1, nvars - start)
+            spec.append((rng.choice(("lex", "degrevlex")), perm[start:start + size]))
+            start += size
+        order = MonomialOrder(spec, nvars)
+        assert order._weights == _reference_weights(order.spec, nvars)
+        guard = sum(1 << orders.FIELD_BITS * f - 1 for f in range(1, 2 * nvars + 2))
+        assert order.guard == guard
 
 
 def test_too_many_variables_are_refused_before_building():

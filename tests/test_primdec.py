@@ -8,7 +8,7 @@ import pytest
 
 from flatcheck import factor, flatness, primdec, problems
 from flatcheck.dsl import build_problem, parse_problem
-from flatcheck.errors import GuardExceeded, Guards, InvalidInput, NotZeroDimensional
+from flatcheck.errors import GuardExceeded, InvalidInput, NotZeroDimensional
 from flatcheck.flatness import check_flatness
 from flatcheck.ideals import Ideal, intersect, radical_membership
 from flatcheck.primdec import (
@@ -19,7 +19,7 @@ from flatcheck.primdec import (
 )
 from flatcheck.rings import PolyRing
 
-from conftest import nonzero_random_poly
+from conftest import cut_at_line, nonzero_random_poly
 
 
 def prime_keys(primes):
@@ -242,11 +242,14 @@ def test_radical_takes_the_split_branch(qxy, monkeypatch):
 
 
 def test_radical_honours_time_guard():
+    # A time trip at any line leaves I's cached bases exact for the next run.
     I = _douady_module()
-    with pytest.raises(GuardExceeded) as info:
-        with Guards(timeout=0):
+    want = radical(_douady_module())
+    for k in (1, 100, 1000, 10000):
+        with pytest.raises(GuardExceeded) as info, cut_at_line(k):
             radical(I)
-    assert info.value.guard == "time"
+        assert info.value.guard == "time"
+        assert radical(I).equals(want)
 
 
 def test_distinct_linear_factors_recovered():

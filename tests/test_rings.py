@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatcheck.errors import GuardExceeded, Guards, InvalidInput, VariableClash
+from flatcheck.errors import GuardExceeded, InvalidInput, VariableClash
 from flatcheck.rings import PolyRing, Polynomial, VarMap
 
 from conftest import random_poly
@@ -74,15 +74,6 @@ def test_pow_matches_repeated_mul(qxy):
     assert f**3 == f * f * f
     with pytest.raises(InvalidInput):
         f ** (-1)
-
-
-def test_product_polls_the_time_guard(qxy):
-    x, y = qxy.gens()
-    f = x + y + 1
-    with pytest.raises(GuardExceeded) as exc:
-        with Guards(timeout=0):
-            f * f
-    assert exc.value.guard == "time"
 
 
 def test_varmap_substitution_kills_cover_relation():
