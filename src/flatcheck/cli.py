@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 
@@ -87,6 +88,16 @@ def _target_ideal(pf, args):
     return Ideal(ring, decl.generators)
 
 
+def _shown_guards(guards):
+    """The guards as a report shows them.  JSON has no infinities: a budget
+    of inf sets no limit, so it shows as null, like no --timeout; one of
+    -inf trips on entry, so it shows as 0."""
+    shown = dataclasses.asdict(guards)
+    if shown["timeout"] is not None and math.isinf(shown["timeout"]):
+        shown["timeout"] = None if shown["timeout"] > 0 else 0.0
+    return shown
+
+
 def _run_one(command, path, args):
     """Run one command on one file under the guards the flags ask for.
 
@@ -99,7 +110,7 @@ def _run_one(command, path, args):
     guards = Guards(
         max_pairs=args.max_pairs, max_degree=args.max_degree, timeout=args.timeout
     )
-    report = Report(command, guards=dataclasses.asdict(guards), seed=args.seed)
+    report = Report(command, guards=_shown_guards(guards), seed=args.seed)
     try:
         with guards:
             start = time.monotonic()

@@ -11,10 +11,16 @@ Grammar (statements end with `;`):
 
 Polynomial syntax: `+`/`-` separated terms, `^` powers, `*` optional
 between a coefficient and a variable, rational coefficients as `p/q`.
+
+Lexical rules: blanks are space, tab, CR and LF; `#` starts a comment
+that runs to the end of the line; a name starts with a letter or `_`,
+followed by letters, digits or `_`; a number is a run of decimal digits
+from any script.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -25,8 +31,12 @@ from .ideals import Ideal
 from .primdec import radical
 from .rings import PolyRing
 
-_KEYWORDS = {"ring", "module", "cover", "option", "assert", "over", "radical", "Q"}
-_PUNCT = ("==", "[", "]", "(", ")", ",", ";", "=", "+", "-", "*", "/", "^")
+# Blanks, comments, numbers, words and punctuation, in that order of
+# preference; a word must start with a letter or `_` (see tokenize).
+_TOKEN = re.compile(
+    r"(?P<blank>[ \t\r\n]+)|(?P<comment>#[^\n]*)|(?P<number>\d+)|(?P<ident>\w+)"
+    r"|(?P<punct>==|[\[\](),;=+\-*/^])"
+)
 
 
 @dataclass(frozen=True)
@@ -39,49 +49,20 @@ class Token:
 
 def tokenize(text):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        column = pos - line_start + 1
+        first = text[pos]
+        if m is None or m.lastgroup == "ident" and not (first.isalpha() or first == "_"):
+            raise ParseError(f"unexpected character {first!r}", line, column)
+        kind, pos = m.lastgroup, m.end()
+        if kind == "blank" and "\n" in m.group():
+            line += m.group().count("\n")
+            line_start = text.rindex("\n", 0, pos) + 1
+        elif kind not in ("blank", "comment"):
+            tokens.append(Token(kind, m.group(), line, column))
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -147,12 +128,8 @@ class _Parser:
         pf = ProblemFile()
         while self.peek().kind != "eof":
             tok = self.peek()
-            if tok.text == "ring":
-                self._ring(pf)
-            elif tok.text == "module":
-                self._module_or_cover(pf, "module")
-            elif tok.text == "cover":
-                self._module_or_cover(pf, "cover")
+            if tok.text in ("ring", "module", "cover"):
+                self._declaration(pf, tok.text)
             elif tok.text == "option":
                 self._option(pf)
             elif tok.text == "assert":
@@ -166,66 +143,37 @@ class _Parser:
                 )
         return pf
 
-    def _declare(self, pf, decl):
-        if decl.name in pf.rings:
-            raise VariableClash(f"duplicate declaration of {decl.name!r}")
-        pf.rings[decl.name] = decl
-
-    def _ring(self, pf):
-        kw = self.expect("ring")
-        name = self.expect(kind="ident").text
-        self.expect("=")
-        variables = self._ambient()
-        gens, radical = self._relations(variables)
-        self.expect(";")
-        if radical:
-            raise ParseError(
-                "radical(...) is only allowed in module declarations",
-                kw.line,
-                kw.column,
-            )
-        decl = RingDecl(name, variables, gens, None, "ring", False)
-        self._declare(pf, decl)
-        if pf.base_name is None:
-            pf.base_name = name
-
-    def _module_or_cover(self, pf, kind):
+    def _declaration(self, pf, kind):
+        """`ring`, `module` or `cover`: a name, for a module or cover the
+        ring it lies over, and a quotient `Q[vars] / (...)`."""
         kw = self.expect(kind)
+        at = (kw.line, kw.column)
         name = self.expect(kind="ident").text
-        self.expect("over")
-        over = self.expect(kind="ident").text
-        if over not in pf.rings or pf.rings[over].kind != "ring":
-            raise ParseError(
-                f"{kind} declared over unknown ring {over!r}", kw.line, kw.column
-            )
+        over, base_vars = None, ()
+        if kind != "ring":
+            self.expect("over")
+            over = self.expect(kind="ident").text
+            if over not in pf.rings or pf.rings[over].kind != "ring":
+                raise ParseError(f"{kind} declared over unknown ring {over!r}", *at)
+            base_vars = pf.rings[over].variables
         self.expect("=")
         variables = self._ambient()
-        base = pf.rings[over]
-        for v in base.variables:
+        for v in base_vars:
             if v not in variables:
-                raise ParseError(
-                    f"{kind} ring must contain base variable {v!r}",
-                    kw.line,
-                    kw.column,
-                )
+                raise ParseError(f"{kind} ring must contain base variable {v!r}", *at)
         gens, radical = self._relations(variables)
         if radical and kind != "module":
-            raise ParseError(
-                "radical(...) is only allowed in module declarations",
-                kw.line,
-                kw.column,
-            )
+            raise ParseError("radical(...) is only allowed in module declarations", *at)
         self.expect(";")
-        decl = RingDecl(name, variables, gens, over, kind, radical)
-        self._declare(pf, decl)
-        if kind == "module":
-            if pf.module_name is not None:
-                raise VariableClash("a file may declare at most one module")
-            pf.module_name = name
+        if name in pf.rings:
+            raise VariableClash(f"duplicate declaration of {name!r}")
+        pf.rings[name] = RingDecl(name, variables, gens, over, kind, radical)
+        if kind == "ring":
+            pf.base_name = pf.base_name or name
+        elif getattr(pf, f"{kind}_name") is not None:
+            raise VariableClash(f"a file may declare at most one {kind}")
         else:
-            if pf.cover_name is not None:
-                raise VariableClash("a file may declare at most one cover")
-            pf.cover_name = name
+            setattr(pf, f"{kind}_name", name)
 
     def _option(self, pf):
         kw = self.expect("option")

@@ -30,8 +30,9 @@ Orders are interned for the life of the process: ``MonomialOrder(spec,
 nvars)`` and the constructors `lex`, `degrevlex` and `elimination` give
 one instance per key layout, that is per normalized ``(spec, nvars)``,
 so equal layouts share one descriptor and one Groebner-basis cache
-entry.  An order is never mutated.  An order on more than MAX_VARS
-variables is refused before anything is built.
+entry, and orders compare and hash by identity.  An order is never
+mutated.  An order on more than MAX_VARS variables is refused before
+anything is built.
 """
 
 from __future__ import annotations
@@ -131,12 +132,6 @@ class MonomialOrder:
         """The exponent vector of a packed key: its raw-exponent fields."""
         raw = self._raw
         return raw.unpack(key.to_bytes(raw.size, "big"))
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.descriptor == other.descriptor
-
-    def __hash__(self):
-        return hash(self.descriptor)
 
     def __repr__(self):
         return f"MonomialOrder({self.descriptor})"

@@ -54,7 +54,7 @@ def _ideal_strings(I):
 
 def render_report(report, fmt="text"):
     if fmt == "json":
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
     return _render_text(report)
 
 

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import json
 import random
 import sys
 from contextlib import contextmanager
@@ -66,3 +67,12 @@ def cut_at_line(k):
         yield
     finally:
         sys.settrace(before)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number (RFC 8259)")
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_refuse_constant)

@@ -1,7 +1,6 @@
 """Command-line interface: commands, exit codes, and report schema."""
 
 import concurrent.futures
-import json
 import os
 import subprocess
 import sys
@@ -9,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import strict_json
 
 import flatcheck
 from flatcheck import cli, orders, problems, rings
@@ -42,7 +42,7 @@ def run_cli(argv, capsys):
 
 def run_json(argv, capsys):
     code, out = run_cli(argv + ["--format", "json"], capsys)
-    return code, json.loads(out)
+    return code, strict_json(out)
 
 
 @pytest.fixture()
@@ -241,10 +241,10 @@ def test_undecodable_file_is_an_input_error(tmp_path, capsys):
     code, out = run_cli(["check-flat", str(bad), good, "--format", "json"], capsys)
     assert code == 2
     first, second = out.split(f"== {good}\n")
-    bad_rep = json.loads(first.split("\n", 1)[1])
+    bad_rep = strict_json(first.split("\n", 1)[1])
     assert bad_rep["status"] == "error"
     assert str(bad) in bad_rep["error"]
-    good_rep = json.loads(second)
+    good_rep = strict_json(second)
     assert good_rep["status"] == "ok"
     assert good_rep["verdict"] == "NON_FLAT"
 
@@ -288,8 +288,18 @@ def test_a_nan_timeout_is_refused(capsys):
 
 
 def test_an_infinite_timeout_sets_no_limit(capsys):
-    code, rep = run_json(["check-flat", problems.path("douady"), "--timeout", "inf"], capsys)
-    assert code == 0 and rep["verdict"] == "NON_FLAT"
+    # JSON has no infinities: the report shows no limit as null.
+    for budget in ("inf", "1e400"):
+        code, rep = run_json(["check-flat", problems.path("douady"), "--timeout", budget],
+                             capsys)
+        assert code == 0 and rep["verdict"] == "NON_FLAT"
+        assert rep["guards"]["timeout"] is None
+
+
+def test_a_minus_infinite_timeout_trips_and_shows_as_zero(capsys):
+    code, rep = run_json(["check-flat", problems.path("douady"), "--timeout=-inf"], capsys)
+    assert code == 3 and rep["guards"] == {
+        "max_degree": None, "max_pairs": None, "timeout": 0.0, "tripped": "time"}
 
 
 _AS = ", ".join(f"a{i}" for i in range(24))
@@ -341,7 +351,7 @@ def test_timeout_guard_reaches_the_parser(case, tmp_path):
     )
     assert time.monotonic() - start <= budget + 5
     assert proc.returncode == 3
-    assert json.loads(proc.stdout)["guards"]["tripped"] == "time"
+    assert strict_json(proc.stdout)["guards"]["tripped"] == "time"
 
 
 def test_a_huge_power_ends_within_its_budget(tmp_path):

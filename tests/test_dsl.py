@@ -1,8 +1,11 @@
 """Problem-file parsing and problem building."""
 
+from pathlib import Path
+
 import pytest
 
-from flatcheck.dsl import build_problem, parse_polynomial, parse_problem
+from flatcheck import problems
+from flatcheck.dsl import build_problem, parse_polynomial, parse_problem, tokenize
 from flatcheck.errors import InvalidInput, ParseError, VariableClash
 from flatcheck.ideals import Ideal, intersect
 from flatcheck.rings import PolyRing
@@ -157,3 +160,51 @@ def test_build_problem_cover_module_variable_clash():
 def test_comments_and_whitespace_ignored():
     pf = parse_problem("# leading comment\n\n  ring   R = Q[ y ] ;  # trailing\n")
     assert pf.base_name == "R"
+
+
+# (source, expected): the tokens (kind, text, line, column), or
+# the ParseError (message, line, column) that parse_problem raises.
+LEXICAL_CASES = [
+    # CR is a blank that takes a column; only LF starts a line.
+    ("ring\tR\r\n= Q\r", [("ident", "ring", 1, 1), ("ident", "R", 1, 6),
+                           ("punct", "=", 2, 1), ("ident", "Q", 2, 3), ("eof", "", 2, 5)]),
+    ("x^٣ é1", [("ident", "x", 1, 1), ("punct", "^", 1, 2), ("number", "٣", 1, 3),
+               ("ident", "é1", 1, 5), ("eof", "", 1, 7)]),
+    ("4y1", [("number", "4", 1, 1), ("ident", "y1", 1, 2), ("eof", "", 1, 4)]),
+    ("a===b", [("ident", "a", 1, 1), ("punct", "==", 1, 2), ("punct", "=", 1, 4),
+               ("ident", "b", 1, 5), ("eof", "", 1, 6)]),
+    ("ring R;\n x²", [("ident", "ring", 1, 1), ("ident", "R", 1, 6),
+                      ("punct", ";", 1, 7), ("ident", "x²", 2, 2), ("eof", "", 2, 4)]),
+    ("ring R = Q[y] / (y^2²);", ("unexpected character '²'", 1, 21)),
+    ("ring R = Q[y];\n ²", ("unexpected character '²'", 2, 2)),
+    ("ring R =\u00a0Q[y];", ("unexpected character '\\xa0'", 1, 9)),
+    ("ring R = Q[y];\n\n  \x0b", ("unexpected character '\\x0b'", 3, 3)),
+    ("ring R = Q[y];\u2003", ("unexpected character '\\u2003'", 1, 15)),
+    # A file that ends in a comment reports eof past the comment.
+    ("option power #5v", ("unexpected ''", 1, 17)),
+    # radical(...) in a ring is refused before its missing or wrong `;`.
+    ("ring R = Q[y] / radical(y)", ("radical(...) is only allowed", 1, 1)),
+    ("ring R = Q[y] / radical(y) ]", ("radical(...) is only allowed", 1, 1)),
+]
+
+
+@pytest.mark.parametrize("source, expected", LEXICAL_CASES)
+def test_lexical_rules(source, expected):
+    if isinstance(expected, list):
+        assert [(t.kind, t.text, t.line, t.column) for t in tokenize(source)] == expected
+        return
+    message, line, column = expected
+    with pytest.raises(ParseError) as info:
+        parse_problem(source)
+    assert str(info.value).startswith(message)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_every_corpus_token_starts_at_its_line_and_column():
+    for path in sorted(Path(problems.__file__).parent.glob("*.flat")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.split("\n")
+        tokens = tokenize(text)
+        assert len(tokens) > 1 and tokens[-1].kind == "eof"
+        for tok in tokens:
+            assert lines[tok.line - 1][tok.column - 1:].startswith(tok.text), (path.name, tok)

@@ -1,4 +1,5 @@
-"""JSON reports, minus `timings`, pinned to files under tests/golden/.
+"""Reports pinned to files under tests/golden/: JSON reports minus
+`timings`, and a few text reports minus their `time:` line.
 
 A change that only makes flatcheck faster must leave every report below
 byte-identical apart from its timings.  Only the problem-file path, which
@@ -15,6 +16,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import strict_json
 
 from flatcheck import problems
 from flatcheck.cli import main
@@ -55,23 +57,43 @@ CASES = (
        (("gb", ("--order", "lex")), ("primdec", ()))
        for name in ("cone-a1-normalization", "cone-a2-normalization",
                     "cone-a1-monic", "cone-a1-blowup-chart")]
+    # Text reports: a note, list and scalar payloads, an error and a guard trip.
+    + [(command, name, (*extra, "--format", "text")) for command, name, extra in
+       (("check-flat", "douady-no-cover", ("--waive-hypothesis", "cover_smooth")),
+        ("primdec", "douady", ()),
+        ("gb", "douady", ()),
+        ("eliminate", "douady", ("--vars", "y1")),
+        ("check-flat-regular-source", "douady-no-cover", ()),
+        ("check-flat", "douady", ("--timeout", "0")))]
 )
 
 
 def _case_id(case):
-    """`command--name`, plus `-value` for an --order or --vars option."""
+    """`command--name`, plus `-value` for an --order, --vars, --timeout or
+    --format option."""
     command, name, extra = case
-    tags = [v for k, v in zip(extra[::2], extra[1::2]) if k in ("--order", "--vars")]
+    tags = [v for k, v in zip(extra[::2], extra[1::2])
+            if k in ("--order", "--vars", "--timeout", "--format")]
     return f"{command}--{name}" + "".join("-" + t for t in tags)
 
 
+def _golden(case):
+    suffix = ".txt" if "--format" in case[2] else ".json"
+    return GOLDEN / (_case_id(case) + suffix)
+
+
 def _report(command, name, extra):
-    """The JSON report of one CLI run, without timings, as stable text."""
+    """One CLI run's report as stable text: the JSON report without
+    timings or, for a `--format text` case, the text without `time:`."""
     path = problems.path(name)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
+        if "--format" in extra:
+            main([command, path, *extra])
+            lines = out.getvalue().replace(path, f"{name}.flat").splitlines(True)
+            return "".join(line for line in lines if not line.startswith("time: "))
         main([command, path, "--format", "json", *extra])
-    rep = json.loads(out.getvalue())
+    rep = strict_json(out.getvalue())
     del rep["timings"]
     rep["error"] = rep["error"].replace(path, f"{name}.flat")
     return json.dumps(rep, sort_keys=True, indent=2) + "\n"
@@ -79,7 +101,7 @@ def _report(command, name, extra):
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_report_matches_golden(case):
-    expected = (GOLDEN / f"{_case_id(case)}.json").read_text(encoding="utf-8")
+    expected = _golden(case).read_text(encoding="utf-8")
     assert _report(*case) == expected
 
 
@@ -110,7 +132,7 @@ def test_report_is_seed_invariant(case):
     command, name, extra = case
     reports = []
     for seed in (0, 1, 2):
-        rep = json.loads(_report(command, name, (*extra, "--seed", str(seed))))
+        rep = strict_json(_report(command, name, (*extra, "--seed", str(seed))))
         del rep["seed"]
         reports.append(rep)
     assert reports[1] == reports[0]
@@ -120,5 +142,5 @@ def test_report_is_seed_invariant(case):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
-        (GOLDEN / f"{_case_id(case)}.json").write_text(_report(*case), encoding="utf-8")
+        _golden(case).write_text(_report(*case), encoding="utf-8")
         print(_case_id(case), file=sys.stderr)
