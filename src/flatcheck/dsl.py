@@ -11,6 +11,7 @@ Grammar (statements end with `;`):
 
 Polynomial syntax: `+`/`-` separated terms, `^` powers, `*` optional
 between a coefficient and a variable, rational coefficients as `p/q`.
+A factor nests at most MAX_NESTING parentheses and unary minus signs.
 
 Lexical rules: blanks are space, tab, CR and LF; `#` starts a comment
 that runs to the end of the line; a name starts with a letter or `_`,
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import InvalidInput, ParseError, VariableClash
 from .flatness import BaseRing, FlatnessProblem, ModuleSpec, RegularCover
@@ -38,9 +39,13 @@ _TOKEN = re.compile(
     r"|(?P<punct>==|[\[\](),;=+\-*/^])"
 )
 
+# Open parentheses and unary minus signs one expression may nest.  Each
+# level is a recursion of the expression rules (three frames for a `(`),
+# so the bound keeps the parse well inside Python's recursion limit.
+MAX_NESTING = 256
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # ident | number | punct | eof
     text: str
     line: int
@@ -90,6 +95,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0  # `(` and unary `-` open around the current factor
 
     # -- token plumbing ----------------------------------------------------
 
@@ -268,9 +274,17 @@ class _Parser:
 
     def _factor(self, ring):
         tok = self.peek()
+        if tok.text in ("-", "("):
+            # A failed parse is not resumed, so only a completed level
+            # gives its depth back.
+            if self.depth == MAX_NESTING:
+                raise ParseError("expression nested too deeply", tok.line, tok.column)
+            self.depth += 1
         if tok.text == "-":
             self.advance()
-            return -self._factor(ring)
+            base = -self._factor(ring)
+            self.depth -= 1
+            return base
         if tok.kind == "number":
             self.advance()
             base = ring.const(int(tok.text))
@@ -286,6 +300,7 @@ class _Parser:
             self.advance()
             base = self._expr(ring)
             self.expect(")")
+            self.depth -= 1
         else:
             raise ParseError(
                 f"unexpected {tok.text or tok.kind!r}",

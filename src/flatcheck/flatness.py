@@ -12,8 +12,13 @@ set of q and h the lead-coefficient lcm of J over Q(z), the torsion
 submodule is T = (J : h^inf)/J (Gianni-Trager-Zacharias), so J is
 torsion-free iff J : h^inf = J.  Torsion means non-flatness; the
 witnesses are the minimal primes of T, whose contractions to Q[y]
-strictly contain q.  Torsion-freeness certifies flatness (provided the
-base is asserted to be analytically irreducible and all
+strictly contain q.  Since Supp T is the union of the V(J : g) over the
+generators g of J : h^inf outside J, they are the minimal elements of
+the union of the minimal primes of the J : g.  J is stable under
+permuting the factor copies, so J : g is computed and decomposed once
+per orbit of the g under those permutations, and the other members'
+primes are the permuted ones.  Torsion-freeness certifies flatness
+(provided the base is asserted to be analytically irreducible and all
 machine-checkable hypotheses hold).  J itself is never decomposed.
 """
 
@@ -38,10 +43,9 @@ from .ideals import (
     dimension,
     ideal_sum,
     independent_set,
-    intersect,
     quotient,
 )
-from .primdec import _contract, decompose, radical
+from .primdec import _contract, _prime_key, _reduced, decompose, radical
 from .rings import Polynomial, PolyRing
 
 
@@ -150,11 +154,27 @@ class Verdict:
 # -- fibred power construction ------------------------------------------------
 
 
+class FibredPower(Ideal):
+    """The fibred-power ideal J together with the labelling of its copies.
+
+    copies[k] holds the ring indices of the variables of factor copy k + 1,
+    in module-variable order, so permuting the copies is permuting these
+    index tuples; J is stable under every such permutation.
+    """
+
+    __slots__ = ("copies",)
+
+    def __init__(self, ring, generators, copies):
+        super().__init__(ring, generators)
+        self.copies = copies
+
+
 def build_fibred_power(base, module, n, cover=None):
     """J = q + sum of relabelled copies of I + L, with the big ring.
 
-    Returns (J, renames) where renames records cover variables that had
-    to be renamed to avoid collisions with factor-copy names.
+    Returns (J, renames): J is a FibredPower, which carries the labelling
+    of the factor copies, and renames records cover variables that had to
+    be renamed to avoid collisions with factor-copy names.
     """
     if n < 1:
         raise InvalidInput("fibred power requires n >= 1")
@@ -185,7 +205,8 @@ def build_fibred_power(base, module, n, cover=None):
         gens.extend(_renamed(module.I, labelling, big))
     if cover is not None:
         gens.extend(_renamed(cover.L, renames, big))
-    return Ideal(big, gens), renames
+    indices = tuple(tuple(big.var_index(c[v]) for v in xs) for c in copies)
+    return FibredPower(big, gens, indices), renames
 
 
 def _renamed(ideal, names, big):
@@ -203,13 +224,23 @@ def torsion_witnesses(J, base):
     With z = independent_set(q), q meets Q[z] only in 0 and is prime, so
     R-torsion is Q[z]-torsion and T = (J : h^inf)/J, h being the
     lead-coefficient lcm of J over Q(z).  An empty list means J is
-    torsion-free.  Otherwise ann T is the intersection of J : g over the
-    generators g of J : h^inf outside J, and the witnesses are the primes
-    of rad(ann T): the minimal elements among the associated primes of J
-    that contract strictly past q.  An associated prime of T that
-    contains another witness is not listed.  Each of them contracts
-    strictly past q with no check: h^s lies in ann T, so every prime of
-    rad(ann T) contains h, and h is in Q[z] \\ {0} while q n Q[z] = 0.
+    torsion-free.  Otherwise Supp T is the union of V(J : g) over the
+    generators g of J : h^inf outside J, and the witnesses are the
+    minimal elements of the union of the minimal primes of the J : g,
+    sorted as `decompose` sorts primes: the minimal primes of T, that
+    is, the minimal elements among the associated primes of J that
+    contract strictly past q.  An associated prime of T that contains
+    another witness is not listed.  Each of them contracts strictly past
+    q with no check: h^s kills T, so every prime of Supp T contains h,
+    and h is in Q[z] \\ {0} while q n Q[z] = 0.
+
+    With one such generator g the witnesses are the primes of
+    decompose(radical(J : g)).  With several, and J a FibredPower, the
+    generators are grouped into orbits under the transpositions of the
+    factor copies (`_orbits`); J : g is computed and decomposed for one
+    representative per orbit, and for every other member sigma(rep) the
+    primes are the sigma-images, each re-presented by its reduced basis.
+    The count of skipped forms is summed over those decompositions.
     """
     for g in base.q.generators:
         if not J.contains(J.ring.transport(g)):
@@ -220,12 +251,80 @@ def torsion_witnesses(J, base):
     extra = [g for g in sat.generators if not J.contains(g)]
     if not extra:
         return [], 0
-    ann = quotient(J, extra[0])
-    for g in extra[1:]:
-        ann = intersect(ann, quotient(J, g))
-    dec = decompose(radical(ann))
-    out = [Witness(c.prime, contract_to_base(c.prime, base.ring)) for c in dec.components]
-    return out, dec.retries
+    if len(extra) == 1:
+        dec = decompose(radical(quotient(J, extra[0])))
+        primes, retries = [c.prime for c in dec.components], dec.retries
+    else:
+        copies = J.copies if isinstance(J, FibredPower) else ()
+        primes, retries = _support_primes(J, _orbits(extra, copies))
+    return [Witness(P, contract_to_base(P, base.ring)) for P in primes], retries
+
+
+def _support_primes(J, orbits):
+    """Minimal elements of the union of the minimal primes of J : g over
+    every member g of the orbits, sorted by `_prime_key`, and the summed
+    skipped forms of the one decomposition per orbit."""
+    found = {}  # reduced basis as a set -> the prime it presents
+    retries = 0
+    for (rep, _), *members in orbits:
+        dec = decompose(radical(quotient(J, rep)))
+        retries += dec.retries
+        for P in (c.prime for c in dec.components):
+            basis = list(P.groebner())
+            found.setdefault(frozenset(basis), P)
+            for _, src in members:
+                image = [_permuted(g, src) for g in basis]
+                if frozenset(image) not in found:  # not fixed, not met before
+                    Q = _reduced(Ideal(J.ring, image))
+                    found.setdefault(frozenset(Q.groebner()), Q)
+    # Distinct reduced bases present distinct primes, so containment is strict.
+    primes = sorted(found.values(), key=_prime_key)
+    return [P for P in primes
+            if not any(Q is not P and P.contains_ideal(Q) for Q in primes)], retries
+
+
+def _orbits(gens, copies):
+    """The orbits of gens under the transpositions of the factor copies.
+
+    Each orbit is a list of (g, src) with its representative first: g is
+    the representative with the exponent at index i read from index
+    src[i] (`_permuted`), src being the identity for the representative.
+    A generator joins an orbit when a transposition maps a member onto it
+    as a polynomial.  Every such map is a true permutation of the copies,
+    which fixes J; a missed match only costs a quotient.
+    """
+    identity = tuple(range(gens[0].ring.nvars))
+    swaps = []
+    for a, b in combinations(copies, 2):
+        src = list(identity)
+        for i, j in zip(a, b):
+            src[i], src[j] = j, i
+        swaps.append(tuple(src))
+    index = {g: k for k, g in enumerate(gens)}
+    placed = set()
+    orbits = []
+    for k, g in enumerate(gens):
+        if k in placed:
+            continue
+        placed.add(k)
+        orbit = [(g, identity)]
+        for member, src in orbit:  # the loop reaches members appended below
+            for swap in swaps:
+                if len(placed) == len(gens):
+                    break
+                j = index.get(_permuted(member, swap))
+                if j is not None and j not in placed:
+                    placed.add(j)
+                    orbit.append((gens[j], tuple(src[s] for s in swap)))
+        orbits.append(orbit)
+    return orbits
+
+
+def _permuted(f, src):
+    """f with the exponent at index i read from index src[i]."""
+    return Polynomial(
+        f.ring, {tuple(map(e.__getitem__, src)): c for e, c in f.terms.items()}
+    )
 
 
 # -- hypothesis verification -----------------------------------------------------

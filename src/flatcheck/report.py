@@ -26,8 +26,10 @@ class Report:
     error: str = ""
 
     def to_dict(self):
+        """The versions and the report's fields, as one shallow dict: the
+        values are the report's own lists and dicts, not copies."""
         versions = {"schema_version": SCHEMA_VERSION, "tool_version": __version__}
-        return {**versions, **asdict(self)}
+        return {**versions, **vars(self)}
 
     def add_verdict(self, verdict):
         """Fill in a flatness Verdict: result, witnesses, hypotheses and extras."""

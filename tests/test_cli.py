@@ -13,7 +13,7 @@ from conftest import strict_json
 import flatcheck
 from flatcheck import cli, orders, problems, rings
 from flatcheck.cli import main
-from flatcheck.dsl import parse_problem
+from flatcheck.dsl import MAX_NESTING, parse_problem
 from flatcheck.orders import MonomialOrder
 from flatcheck.report import SCHEMA_VERSION
 from flatcheck.rings import Polynomial
@@ -231,6 +231,20 @@ def test_a_superscript_digit_is_a_parse_error(text, line, column, tmp_path, caps
     code, rep = run_json(["check-flat", str(bad)], capsys)
     assert code == 2
     assert f"'\u00b2' at line {line}, column {column}" in rep["error"]
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", "")])
+def test_deep_nesting_is_a_parse_error(opener, closer, tmp_path, capsys):
+    bad = tmp_path / "bad.flat"
+    prefix = "module A over R = Q[y, x] / ("
+    bad.write_text(
+        "ring R = Q[y];\n" + prefix + opener * 5000 + "x*y" + closer * 5000 + ");\n"
+    )
+    code, rep = run_json(["check-flat", str(bad)], capsys)
+    assert code == 2
+    # At the first factor past the bound; a term's leading `-` is no factor.
+    column = len(prefix) + MAX_NESTING + 1 + (opener == "-")
+    assert rep["error"].endswith(f"expression nested too deeply at line 2, column {column}")
 
 
 def test_undecodable_file_is_an_input_error(tmp_path, capsys):

@@ -5,7 +5,13 @@ from pathlib import Path
 import pytest
 
 from flatcheck import problems
-from flatcheck.dsl import build_problem, parse_polynomial, parse_problem, tokenize
+from flatcheck.dsl import (
+    MAX_NESTING,
+    build_problem,
+    parse_polynomial,
+    parse_problem,
+    tokenize,
+)
 from flatcheck.errors import InvalidInput, ParseError, VariableClash
 from flatcheck.ideals import Ideal, intersect
 from flatcheck.rings import PolyRing
@@ -97,6 +103,21 @@ def test_parse_polynomial_expressions():
     }
     for text, expected in cases.items():
         assert parse_polynomial(text, ring) == expected, text
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", "")])
+def test_nesting_is_bounded(opener, closer):
+    ring = PolyRing(("x",))
+    # A term's leading sign is read by the term rule, not as a nested factor.
+    sign = opener == "-"
+    deepest = MAX_NESTING + sign
+    parsed = parse_polynomial(opener * deepest + "x" + closer * deepest, ring)
+    assert parsed == (-1) ** (deepest * sign) * ring.var("x")
+    for depth in (deepest + 1, 5000):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(opener * depth + "x" + closer * depth, ring)
+        assert str(info.value).startswith("expression nested too deeply")
+        assert (info.value.line, info.value.column) == (1, deepest + 1)
 
 
 def test_division_only_by_constants():

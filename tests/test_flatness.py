@@ -1,8 +1,10 @@
 """The flatness pipeline: fibred powers, torsion witnesses, hypotheses."""
 
 import dataclasses
+import itertools
 
 import pytest
+from test_torsion import _key, _oracle_keys
 
 from flatcheck import flatness, problems
 from flatcheck.dsl import build_problem, parse_problem
@@ -82,6 +84,7 @@ def test_fibred_power_relabeling(plane_base, blowup_module):
     y1, y2 = big.var("y1"), big.var("y2")
     x1, x2 = big.var("x__1"), big.var("x__2")
     assert J.equals(Ideal(big, [y2 * x1 - y1, y2 * x2 - y1]))
+    assert J.copies == ((big.var_index("x__1"),), (big.var_index("x__2"),))
 
 
 def test_fibred_power_trivial_module(cusp_base, cusp_cover):
@@ -153,6 +156,96 @@ def test_blowup_witness(plane_base, blowup_module):
         Ideal(big, [big.var("y1"), big.var("y2")])
     )
     assert wits[0].contraction.equals(origin)
+
+
+def _corpus_problem(name, power=None):
+    return dataclasses.replace(
+        build_problem(parse_problem(problems.read(name))), power=power
+    )
+
+
+def _counting(monkeypatch, name, calls):
+    """Replace flatness.<name> by a wrapper that appends each call's arguments."""
+    real = getattr(flatness, name, None)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(flatness, name, counted, raising=False)
+
+
+@pytest.mark.parametrize("power", [4, 10])
+def test_xy_collapse_makes_one_quotient_and_no_intersection(power, monkeypatch):
+    # The power copies of the one torsion generator y*x form one orbit.
+    quotients, intersections, orbits = [], [], []
+    _counting(monkeypatch, "quotient", quotients)
+    _counting(monkeypatch, "intersect", intersections)  # flatness binds none
+    real_orbits = flatness._orbits
+
+    def recorded(gens, copies):
+        orbits.extend(real_orbits(gens, copies))
+        return orbits
+
+    monkeypatch.setattr(flatness, "_orbits", recorded)
+    problem = _corpus_problem("xy-collapse", power)
+    verdict = check_flatness(problem)
+    assert (len(quotients), len(intersections)) == (1, 0)
+    ((rep, identity), *members) = orbits[0]
+    assert len(orbits) == 1 and len(members) == power - 1
+    assert identity == tuple(range(rep.ring.nvars))
+    images = {flatness._permuted(rep, src) for _, src in members}
+    assert images == {g for g, _ in members} and rep not in images
+    # The witness is <y> at every power.  The oracle decomposes J itself,
+    # which takes seconds from power 6 on and grows about sixfold per
+    # power, so it runs at power 4.
+    base = problem.base
+    J, _ = build_fibred_power(base, problem.module, 4, RegularCover.identity(base))
+    assert sorted(_key(w.prime) for w in verdict.witnesses) == _oracle_keys(J, base)
+
+
+def test_orbit_members_are_images_of_their_representative():
+    # The six coefficient permutations of x1 + 2*x2 + 3*x3 form one orbit;
+    # the 3-cycles are reached only through composed transpositions.
+    ring = PolyRing(("y", "x1", "x2", "x3"))
+    y, x1, x2, x3 = ring.gens()
+    gens = [c1 * x1 + c2 * x2 + c3 * x3 + y
+            for c1, c2, c3 in itertools.permutations((1, 2, 3))]
+    gens.append(y * x1)  # an orbit of its own among gens: y*x2, y*x3 are absent
+    orbits = flatness._orbits(gens, ((1,), (2,), (3,)))
+    assert [len(orbit) for orbit in orbits] == [6, 1]
+    for (rep, identity), *members in orbits:
+        assert identity == (0, 1, 2, 3)
+        for g, src in members:
+            assert flatness._permuted(rep, src) == g
+    assert {g for orbit in orbits for g, _ in orbit} == set(gens)
+
+
+@pytest.mark.parametrize(
+    "name, generators, orbits",
+    [("cone-a1-normalization", 3, 2), ("cone-a2-normalization", 9, 6)],
+)
+def test_orbits_give_the_witnesses_of_one_quotient_per_generator(
+    name, generators, orbits, monkeypatch
+):
+    quotients = []
+    _counting(monkeypatch, "quotient", quotients)
+    problem = _corpus_problem(name)
+    by_orbit = check_flatness(problem)
+    assert len(quotients) == orbits
+    monkeypatch.setattr(
+        flatness, "_orbits",
+        lambda gens, copies: [[(g, tuple(range(g.ring.nvars)))] for g in gens],
+    )
+    by_generator = check_flatness(problem)
+    assert len(quotients) == orbits + generators
+
+    def keys(verdict):
+        return [(_key(w.prime), _key(w.contraction)) for w in verdict.witnesses]
+
+    assert by_orbit.result == by_generator.result == "NON_FLAT"
+    assert keys(by_orbit) == keys(by_generator)
+    assert by_orbit.retries == by_generator.retries
 
 
 # -- verdicts -------------------------------------------------------------------------

@@ -28,7 +28,7 @@ def _worker_env():
     return env
 
 
-@pytest.mark.parametrize("workload", ["check-flat-corpus", "ideal-layers"])
+@pytest.mark.parametrize("workload", ["check-flat-corpus", "regular-source", "ideal-layers"])
 def test_traced_worker_is_correct(workload, tmp_path):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", workload,
