@@ -234,10 +234,9 @@ def torsion_witnesses(J, base):
     q with no check: h^s kills T, so every prime of Supp T contains h,
     and h is in Q[z] \\ {0} while q n Q[z] = 0.
 
-    With one such generator g the witnesses are the primes of
-    decompose(radical(J : g)).  With several, and J a FibredPower, the
-    generators are grouped into orbits under the transpositions of the
-    factor copies (`_orbits`); J : g is computed and decomposed for one
+    When J is a FibredPower the generators are grouped into orbits under
+    the transpositions of the factor copies (`_orbits`); otherwise each
+    is its own orbit.  J : g is computed and decomposed for one
     representative per orbit, and for every other member sigma(rep) the
     primes are the sigma-images, each re-presented by its reduced basis.
     The count of skipped forms is summed over those decompositions.
@@ -251,12 +250,8 @@ def torsion_witnesses(J, base):
     extra = [g for g in sat.generators if not J.contains(g)]
     if not extra:
         return [], 0
-    if len(extra) == 1:
-        dec = decompose(radical(quotient(J, extra[0])))
-        primes, retries = [c.prime for c in dec.components], dec.retries
-    else:
-        copies = J.copies if isinstance(J, FibredPower) else ()
-        primes, retries = _support_primes(J, _orbits(extra, copies))
+    copies = J.copies if isinstance(J, FibredPower) else ()
+    primes, retries = _support_primes(J, _orbits(extra, copies))
     return [Witness(P, contract_to_base(P, base.ring)) for P in primes], retries
 
 
