@@ -140,17 +140,6 @@ def _to_int(a):
 # -- arithmetic mod p ----------------------------------------------------------
 
 
-def _mul_p(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
-
-
 def _divmod_p(a, b, p):
     """Division mod p, which need not be prime; lc(b) must be a unit mod p."""
     a = [x % p for x in a]
@@ -185,11 +174,12 @@ def _powmod_p(base, e, mod, p):
     result = [1]
     base = _divmod_p(base, mod, p)[1]
     while e:
+        # _divmod_p reduces its dividend mod p on entry.
         if e & 1:
-            result = _divmod_p(_mul_p(result, base, p), mod, p)[1]
+            result = _divmod_p(_mul(result, base), mod, p)[1]
         e >>= 1
         if e:
-            base = _divmod_p(_mul_p(base, base, p), mod, p)[1]
+            base = _divmod_p(_mul(base, base), mod, p)[1]
     return result
 
 
@@ -299,10 +289,10 @@ def _hensel_multifactor(f, factors, p, k):
     right = factors[mid:]
     g = [1]
     for w in left:
-        g = _mul_p(g, w, p)
+        g = _mod_list(_mul(g, w), p)
     h = [1]
     for w in right:
-        h = _mul_p(h, w, p)
+        h = _mod_list(_mul(h, w), p)
     # absorb lc of f into g; h stays monic (required by the lifting divisions)
     lc = f[-1] % p
     g = [x * lc % p for x in g]

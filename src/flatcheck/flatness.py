@@ -234,12 +234,9 @@ def torsion_witnesses(J, base):
     q with no check: h^s kills T, so every prime of Supp T contains h,
     and h is in Q[z] \\ {0} while q n Q[z] = 0.
 
-    When J is a FibredPower the generators are grouped into orbits under
-    the transpositions of the factor copies (`_orbits`); otherwise each
-    is its own orbit.  J : g is computed and decomposed for one
-    representative per orbit, and for every other member sigma(rep) the
-    primes are the sigma-images, each re-presented by its reduced basis.
-    The count of skipped forms is summed over those decompositions.
+    When J is a FibredPower, `_support_primes` walks the generators
+    along the transpositions of the factor copies and decomposes J : g
+    once per orbit; otherwise once per generator.
     """
     for g in base.q.generators:
         if not J.contains(J.ring.transport(g)):
@@ -248,71 +245,65 @@ def torsion_witnesses(J, base):
         return [], 0
     sat = _contract(J, independent_set(base.q))
     extra = [g for g in sat.generators if not J.contains(g)]
-    if not extra:
-        return [], 0
     copies = J.copies if isinstance(J, FibredPower) else ()
-    primes, retries = _support_primes(J, _orbits(extra, copies))
+    primes, retries = _support_primes(J, extra, copies)
     return [Witness(P, contract_to_base(P, base.ring)) for P in primes], retries
 
 
-def _support_primes(J, orbits):
+def _support_primes(J, gens, copies):
     """Minimal elements of the union of the minimal primes of J : g over
-    every member g of the orbits, sorted by `_prime_key`, and the summed
-    skipped forms of the one decomposition per orbit."""
+    the gens, sorted by `_prime_key`, and the summed skipped forms of the
+    decompositions made.
+
+    The walk decomposes radical(J : g) for the first g not yet reached.
+    Then, for each reached m and each transposition sigma of two copies
+    that maps m onto a generator not yet reached, sigma(m) gets the
+    sigma-images of m's primes (`_image`), since sigma fixes J and so
+    J : sigma(m) = sigma(J : m).  A missed match only costs a
+    decomposition.
+    """
+    swaps = []
+    for a, b in combinations(copies, 2):
+        src = list(range(J.ring.nvars))
+        for i, j in zip(a, b):
+            src[i], src[j] = j, i
+        swaps.append(src)
     found = {}  # reduced basis as a set -> the prime it presents
+    unreached = dict.fromkeys(gens)  # an ordered set
     retries = 0
-    for (rep, _), *members in orbits:
-        dec = decompose(radical(quotient(J, rep)))
+    while unreached:
+        g = next(iter(unreached))
+        del unreached[g]
+        dec = decompose(radical(quotient(J, g)))
         retries += dec.retries
-        for P in (c.prime for c in dec.components):
-            basis = list(P.groebner())
-            found.setdefault(frozenset(basis), P)
-            for _, src in members:
-                image = [_permuted(g, src) for g in basis]
-                if frozenset(image) not in found:  # not fixed, not met before
-                    Q = _reduced(Ideal(J.ring, image))
-                    found.setdefault(frozenset(Q.groebner()), Q)
+        primes = [found.setdefault(frozenset(c.prime.groebner()), c.prime)
+                  for c in dec.components]
+        walk = [(g, primes)]
+        for m, primes in walk:  # the loop reaches members appended below
+            for swap in swaps:
+                if not unreached:
+                    break
+                member = _permuted(m, swap)
+                if member in unreached:
+                    del unreached[member]
+                    walk.append((member, [_image(P, swap, found) for P in primes]))
     # Distinct reduced bases present distinct primes, so containment is strict.
     primes = sorted(found.values(), key=_prime_key)
     return [P for P in primes
             if not any(Q is not P and P.contains_ideal(Q) for Q in primes)], retries
 
 
-def _orbits(gens, copies):
-    """The orbits of gens under the transpositions of the factor copies.
-
-    Each orbit is a list of (g, src) with its representative first: g is
-    the representative with the exponent at index i read from index
-    src[i] (`_permuted`), src being the identity for the representative.
-    A generator joins an orbit when a transposition maps a member onto it
-    as a polynomial.  Every such map is a true permutation of the copies,
-    which fixes J; a missed match only costs a quotient.
-    """
-    identity = tuple(range(gens[0].ring.nvars))
-    swaps = []
-    for a, b in combinations(copies, 2):
-        src = list(identity)
-        for i, j in zip(a, b):
-            src[i], src[j] = j, i
-        swaps.append(tuple(src))
-    index = {g: k for k, g in enumerate(gens)}
-    placed = set()
-    orbits = []
-    for k, g in enumerate(gens):
-        if k in placed:
-            continue
-        placed.add(k)
-        orbit = [(g, identity)]
-        for member, src in orbit:  # the loop reaches members appended below
-            for swap in swaps:
-                if len(placed) == len(gens):
-                    break
-                j = index.get(_permuted(member, swap))
-                if j is not None and j not in placed:
-                    placed.add(j)
-                    orbit.append((gens[j], tuple(src[s] for s in swap)))
-        orbits.append(orbit)
-    return orbits
+def _image(P, src, found):
+    """The prime P permuted by src (`_permuted`), as the prime in found
+    with its reduced basis, entered there if new.  The order is not
+    invariant under src, so a permuted basis is reduced again unless it
+    is already a reduced basis in found."""
+    mapped = [_permuted(f, src) for f in P.groebner()]
+    Q = found.get(frozenset(mapped))
+    if Q is None:
+        Q = _reduced(Ideal(P.ring, mapped))
+        Q = found.setdefault(frozenset(Q.groebner()), Q)
+    return Q
 
 
 def _permuted(f, src):
@@ -413,8 +404,14 @@ def verify_hypotheses(problem):
     """One HypothesisCheck per entry of HYPOTHESES, in order, then the
     user's analytic-irreducibility assertion, which is never machine-checked.
 
-    A failed check the problem waives reads `waived` instead of `fail`.
+    A failed check the problem waives reads `waived` instead of `fail`;
+    a waiver that names no entry of HYPOTHESES is an InvalidInput.
     """
+    names = [name for name, _ in HYPOTHESES]
+    unknown = [repr(w) for w in problem.waived if w not in names]
+    if unknown:
+        raise InvalidInput(f"cannot waive {', '.join(unknown)}: "
+                           f"valid names are {', '.join(names)}")
     base = problem.base
     cover = problem.cover or RegularCover.identity(base)
     checks = []

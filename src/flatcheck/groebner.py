@@ -33,6 +33,21 @@ def _same_ring(polys):
     return rings.pop() if rings else None
 
 
+def _subtract(p, form, m, b):
+    """p -= b * x^m * form in place, for packed term maps; cancelled terms go."""
+    for e, c in form.items():
+        key = e + m
+        v = p.get(key)
+        if v is None:
+            p[key] = -b * c
+        else:
+            v -= b * c
+            if v:
+                p[key] = v
+            else:
+                del p[key]
+
+
 def _reduce(p, table, leads, guard, quotients=None, memo=None):
     """Fraction-free remainder of the packed integer term map p (consumed).
 
@@ -92,18 +107,7 @@ def _reduce(p, table, leads, guard, quotients=None, memo=None):
         if quotients is not None:
             # The leads strictly decrease, so m is new in quotients[j].
             quotients[j][m] = (b, scale)
-        # p -= b * x^m * form; the lead cancels exactly.
-        for e, gc in form.items():
-            key = e + m
-            s = p.get(key)
-            if s is None:
-                p[key] = -b * gc
-            else:
-                s -= b * gc
-                if s:
-                    p[key] = s
-                else:
-                    del p[key]
+        _subtract(p, form, m, b)  # the lead cancels exactly
         if capped:
             guards.check_degree(k & DEGREE_MASK for k in p)
     return {e: c * (scale // at) for e, c, at in aside}, scale
@@ -226,17 +230,7 @@ def _s_polynomial(f, g, L):
     d = gcd(lc_f, lc_g)
     a, b = lc_g // d, lc_f // d
     s = {e + mf: a * c for e, c in form_f.items()}
-    for e, c in form_g.items():
-        key = e + mg
-        v = s.get(key)
-        if v is None:
-            s[key] = -b * c
-        else:
-            v -= b * c
-            if v:
-                s[key] = v
-            else:
-                del s[key]
+    _subtract(s, form_g, mg, b)
     return s
 
 

@@ -97,8 +97,8 @@ def intersect(I, J):
     t = big.var(t_name)
     gens = [t * big.transport(g) for g in I.generators]
     gens += [(big.one() - t) * big.transport(g) for g in J.generators]
-    inter = eliminate(Ideal(big, gens), {t_name})
-    return Ideal(ring, [ring.transport(g) for g in inter.generators])
+    # t comes first, so eliminate returns the ideal in ring itself.
+    return eliminate(Ideal(big, gens), {t_name})
 
 
 def quotient(I, f):
@@ -128,7 +128,7 @@ def _saturation(I, f):
     if f.is_zero():
         raise InvalidInput("saturation by the zero polynomial")
     big, t_name = _rabinowitsch(I, f)
-    return Ideal(I.ring, [I.ring.transport(g) for g in eliminate(big, {t_name}).generators])
+    return eliminate(big, {t_name})  # in I.ring, since t comes first
 
 
 def saturate(I, f):

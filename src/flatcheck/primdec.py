@@ -157,7 +157,8 @@ def vector_space_dimension(I, params=()):
 
 
 def _lead_coefficient_lcm(I, params):
-    """lcm of the Q[params]-leading coefficients of the block-order basis."""
+    """Monic squarefree lcm of the Q[params]-leading coefficients of the
+    block-order basis: the squarefree part of their product."""
     ring = I.ring
     if not params:
         return ring.one()  # every coefficient over Q is a constant
@@ -177,10 +178,8 @@ def _lead_coefficient_lcm(I, params):
                     key[i] = 0
                 coeff_terms[tuple(key)] = c
         lc = Polynomial(ring, coeff_terms)
-        if lc.is_constant():
-            continue
-        g_ = multivariate_gcd(h, lc)
-        h = exact_divide(h * lc, g_) if not g_.is_constant() else h * lc
+        if not lc.is_constant():
+            h = h * lc
     if h.is_constant():
         return h
     # Only the radical of h matters for the saturation split, so strip
@@ -354,20 +353,20 @@ def _irredundant(comps):
     Within one level, the leaves come from coprime factors over Q(U).
     """
     items = sorted(comps, key=lambda c: _prime_key(c.prime))
-    # Drop any component containing the intersection of the others.
-    changed = True
-    while changed and len(items) > 1:
-        changed = False
-        for j in range(len(items)):
-            rest = [c for i, c in enumerate(items) if i != j]
+    # Drop each component containing the intersection of the others, in
+    # one pass: a drop only enlarges the intersection of the rest, so a
+    # component once kept never becomes redundant.
+    kept = []
+    for j, comp in enumerate(items):
+        rest = kept + items[j + 1:]
+        if rest:
             inter = rest[0].primary
             for c in rest[1:]:
                 inter = intersect(inter, c.primary)
-            if items[j].primary.contains_ideal(inter):
-                items.pop(j)
-                changed = True
-                break
-    return items
+            if comp.primary.contains_ideal(inter):
+                continue
+        kept.append(comp)
+    return kept
 
 
 def associated_primes(I):

@@ -101,6 +101,25 @@ def test_waive_hypothesis(capsys):
     assert status["cover_smooth"] == "waived"
 
 
+@pytest.mark.parametrize(
+    "name, waiver",
+    [
+        ("douady-no-cover", "cover_smoth"),
+        ("douady", "nonsense"),
+        ("douady", "analytically_irreducible"),  # never machine-checked
+    ],
+)
+@pytest.mark.parametrize("command", ["check-flat", "check-flat-regular-source", "hypotheses"])
+def test_unknown_waiver_is_an_error(command, name, waiver, capsys):
+    code, rep = run_json(
+        [command, problems.path(name), "--waive-hypothesis", waiver], capsys
+    )
+    assert code == 2
+    assert rep["status"] == "error" and rep["verdict"] is None
+    assert repr(waiver) in rep["error"]
+    assert "base_prime, dimensions, cover_dominant, cover_smooth" in rep["error"]
+
+
 def test_check_flat_regular_source(capsys):
     code, rep = run_json(
         ["check-flat-regular-source", problems.path("blowup")], capsys

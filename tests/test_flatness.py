@@ -2,13 +2,20 @@
 
 import dataclasses
 import itertools
+from importlib import resources
 
 import pytest
 from test_torsion import _key, _oracle_keys
 
 from flatcheck import flatness, problems
 from flatcheck.dsl import build_problem, parse_problem
-from flatcheck.errors import GuardExceeded, Guards, HypothesisViolation, InvalidInput
+from flatcheck.errors import (
+    FlatcheckError,
+    GuardExceeded,
+    Guards,
+    HypothesisViolation,
+    InvalidInput,
+)
 from flatcheck.flatness import (
     BaseRing,
     FlatnessProblem,
@@ -177,25 +184,16 @@ def _counting(monkeypatch, name, calls):
 
 @pytest.mark.parametrize("power", [4, 10])
 def test_xy_collapse_makes_one_quotient_and_no_intersection(power, monkeypatch):
-    # The power copies of the one torsion generator y*x form one orbit.
-    quotients, intersections, orbits = [], [], []
+    # The torsion generators x__1, ..., x__power are reached from x__1 by
+    # transpositions of the copies, so one quotient serves them all.
+    quotients, intersections, decompositions = [], [], []
     _counting(monkeypatch, "quotient", quotients)
     _counting(monkeypatch, "intersect", intersections)  # flatness binds none
-    real_orbits = flatness._orbits
-
-    def recorded(gens, copies):
-        orbits.extend(real_orbits(gens, copies))
-        return orbits
-
-    monkeypatch.setattr(flatness, "_orbits", recorded)
+    _counting(monkeypatch, "decompose", decompositions)
     problem = _corpus_problem("xy-collapse", power)
     verdict = check_flatness(problem)
-    assert (len(quotients), len(intersections)) == (1, 0)
-    ((rep, identity), *members) = orbits[0]
-    assert len(orbits) == 1 and len(members) == power - 1
-    assert identity == tuple(range(rep.ring.nvars))
-    images = {flatness._permuted(rep, src) for _, src in members}
-    assert images == {g for g, _ in members} and rep not in images
+    assert (len(quotients), len(intersections), len(decompositions)) == (1, 0, 1)
+    assert str(quotients[0][1]) == "x__1"
     # The witness is <y> at every power.  The oracle decomposes J itself,
     # which takes seconds from power 6 on and grows about sixfold per
     # power, so it runs at power 4.
@@ -204,21 +202,34 @@ def test_xy_collapse_makes_one_quotient_and_no_intersection(power, monkeypatch):
     assert sorted(_key(w.prime) for w in verdict.witnesses) == _oracle_keys(J, base)
 
 
-def test_orbit_members_are_images_of_their_representative():
-    # The six coefficient permutations of x1 + 2*x2 + 3*x3 form one orbit;
-    # the 3-cycles are reached only through composed transpositions.
+def test_orbit_members_are_images_of_their_representative(monkeypatch):
+    # The six coefficient permutations of x1 + 2*x2 + 3*x3 + y are reached
+    # from the first in one walk, the 3-cycles only through two
+    # transpositions; y*x1 needs its own quotient, since y*x2 and y*x3 are
+    # absent.  A plain Ideal has no copies, so each generator is its own.
     ring = PolyRing(("y", "x1", "x2", "x3"))
     y, x1, x2, x3 = ring.gens()
     gens = [c1 * x1 + c2 * x2 + c3 * x3 + y
             for c1, c2, c3 in itertools.permutations((1, 2, 3))]
-    gens.append(y * x1)  # an orbit of its own among gens: y*x2, y*x3 are absent
-    orbits = flatness._orbits(gens, ((1,), (2,), (3,)))
-    assert [len(orbit) for orbit in orbits] == [6, 1]
-    for (rep, identity), *members in orbits:
-        assert identity == (0, 1, 2, 3)
-        for g, src in members:
-            assert flatness._permuted(rep, src) == g
-    assert {g for orbit in orbits for g, _ in orbit} == set(gens)
+    gens.append(y * x1)
+    quotients = []
+    _counting(monkeypatch, "quotient", quotients)
+    J = flatness.FibredPower(ring, [x1 * x2 * x3], ((1,), (2,), (3,)))
+    by_walk = flatness._support_primes(J, gens, J.copies)
+    assert len(quotients) == 2
+    assert [str(g) for _, g in quotients] == [str(gens[0]), "y*x1"]
+    by_generator = flatness._support_primes(Ideal(ring, J.generators), gens, ())
+    assert len(quotients) == 2 + 7
+    assert [_key(P) for P in by_walk[0]] == [_key(P) for P in by_generator[0]]
+    assert [_key(P) for P in by_walk[0]] == sorted(
+        _key(Ideal(ring, [x])) for x in (x1, x2, x3)
+    )
+    assert by_walk[1] == by_generator[1]
+    # J : x1 = <x2*x3> has the primes <x2> and <x3>; x2 and x3 get their
+    # primes as the images of those, so all three primes are found.
+    primes, _ = flatness._support_primes(J, [x1, x2, x3], J.copies)
+    assert len(quotients) == 2 + 7 + 1
+    assert [_key(P) for P in primes] == [_key(P) for P in by_walk[0]]
 
 
 @pytest.mark.parametrize(
@@ -228,24 +239,24 @@ def test_orbit_members_are_images_of_their_representative():
 def test_orbits_give_the_witnesses_of_one_quotient_per_generator(
     name, generators, orbits, monkeypatch
 ):
+    # A plain Ideal with J's generators has no copies, which makes the
+    # per-generator reference: one quotient for each torsion generator.
     quotients = []
     _counting(monkeypatch, "quotient", quotients)
     problem = _corpus_problem(name)
-    by_orbit = check_flatness(problem)
+    base = problem.base
+    J, _ = build_fibred_power(base, problem.module, base.n, problem.cover)
+    by_orbit = torsion_witnesses(J, base)
     assert len(quotients) == orbits
-    monkeypatch.setattr(
-        flatness, "_orbits",
-        lambda gens, copies: [[(g, tuple(range(g.ring.nvars)))] for g in gens],
-    )
-    by_generator = check_flatness(problem)
+    by_generator = torsion_witnesses(Ideal(J.ring, J.generators), base)
     assert len(quotients) == orbits + generators
 
-    def keys(verdict):
-        return [(_key(w.prime), _key(w.contraction)) for w in verdict.witnesses]
+    def keys(witnesses):
+        return [(_key(w.prime), _key(w.contraction)) for w in witnesses]
 
-    assert by_orbit.result == by_generator.result == "NON_FLAT"
-    assert keys(by_orbit) == keys(by_generator)
-    assert by_orbit.retries == by_generator.retries
+    assert by_orbit[0] and keys(by_orbit[0]) == keys(by_generator[0])
+    assert by_orbit[1] == by_generator[1]
+    assert check_flatness(problem).retries == by_orbit[1]
 
 
 # -- verdicts -------------------------------------------------------------------------
@@ -401,6 +412,17 @@ def test_singular_cover_fails(cusp_base, incidence_module):
     assert v.result == "TORSION_FREE"  # waived hypothesis blocks a FLAT claim
 
 
+def test_unknown_waiver_is_rejected(cusp_base, incidence_module, cusp_cover):
+    for waived in [("cover_smoth",), ("cover_smooth", "analytically_irreducible")]:
+        problem = FlatnessProblem(cusp_base, incidence_module, cusp_cover, waived=waived)
+        with pytest.raises(InvalidInput, match="valid names are base_prime, dimensions"):
+            verify_hypotheses(problem)
+        with pytest.raises(InvalidInput, match=repr(waived[-1])):
+            check_flatness(problem)
+    known = FlatnessProblem(cusp_base, incidence_module, cusp_cover, waived=("base_prime",))
+    assert all(c.status == "pass" for c in verify_hypotheses(known)[:-1])
+
+
 @pytest.mark.parametrize("power, result", [(1, "TORSION_FREE"), (2, "NON_FLAT")])
 def test_cone_normalization_needs_the_full_power(power, result):
     # Q[s, t] over the A_1 cone is a domain but not flat: its fibre over the
@@ -479,6 +501,47 @@ def test_label_symmetry(plane_base, blowup_module):
     k1 = sorted(tuple(map(str, w.contraction.groebner())) for w in w1)
     k2 = sorted(tuple(map(str, w.contraction.groebner())) for w in w2)
     assert k1 == k2
+
+
+CORPUS = sorted(
+    f.name[: -len(".flat")]
+    for f in resources.files(problems).iterdir()
+    if f.name.endswith(".flat")
+)
+
+
+def _outcome(check, problem):
+    """The verdict and the sorted witness contractions, or the error class."""
+    try:
+        verdict = check(problem)
+    except FlatcheckError as exc:
+        return type(exc).__name__
+    return verdict.result, sorted(_key(w.contraction) for w in verdict.witnesses)
+
+
+def _reordered(spec, order):
+    """spec with its ring's variables in the order given by order(variables)."""
+    ring = PolyRing(order(spec.ring.variables))
+    ideal = spec.I if isinstance(spec, ModuleSpec) else spec.L
+    moved = Ideal(ring, [ring.transport(g) for g in ideal.generators])
+    return type(spec)(ring, moved, spec.base)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_verdicts_do_not_depend_on_variable_order(name):
+    # Reversing or rotating the module's variables reorders the factor
+    # copies' variables in J, and so the walk's transpositions.
+    problem = _corpus_problem(name)
+    orders = [lambda vs: vs[::-1], lambda vs: vs[1:] + vs[:1]]
+    for check in (check_flatness, check_flatness_regular_source):
+        expected = _outcome(check, problem)
+        for order in orders:
+            cover = problem.cover and _reordered(problem.cover, order)
+            moved = dataclasses.replace(
+                problem, module=_reordered(problem.module, order), cover=cover
+            )
+            assert moved.module.ring != problem.module.ring
+            assert _outcome(check, moved) == expected
 
 
 def test_redundant_generator_stability(plane_base, blowup_module):
