@@ -117,6 +117,35 @@ def _deriv(a):
     return _trim([i * a[i] for i in range(1, len(a))])
 
 
+def _prem_z(a, b):
+    """A remainder of a by b over Z (b of degree >= 1): c*a - q*b for a
+    non-zero integer c, of degree below b's."""
+    a = list(a)
+    lc = b[-1]
+    while len(a) >= len(b):
+        k = len(a) - len(b)
+        d = int_gcd(a[-1], lc)
+        s, c = lc // d, a[-1] // d
+        a = [x * s for x in a]
+        for i, y in enumerate(b):
+            a[i + k] -= c * y
+        _trim(a)
+    return a
+
+
+def _squarefree_z(a):
+    """True iff the dense integer list a is squarefree over Q.
+
+    The primitive remainder sequence of a and a' over Z ends in their gcd
+    up to a unit of Q, so a is squarefree iff it ends in a constant.
+    """
+    a = _primitive(a)[0]
+    b = _primitive(_deriv(a))[0]
+    while len(b) > 1:
+        a, b = b, _primitive(_prem_z(a, b))[0]
+    return len(a) == 1 or len(b) == 1
+
+
 def _content(a):
     c = 0
     for x in a:
@@ -464,7 +493,8 @@ def _factor_key(coeffs):
 
 
 def factor_squarefree(coeffs, seed=0):
-    """Monic irreducible factors over Q of a squarefree dense Fraction list.
+    """Monic irreducible factors over Q of a squarefree dense list of
+    Fractions or ints.
 
     The factors are dense Fraction lists, sorted by degree, then by their
     non-zero coefficients from the constant term up.

@@ -3,12 +3,16 @@
 The positive-dimensional decomposition steps treat an ideal as
 zero-dimensional over Q(U) for a maximal independent set U, which calls
 for gcds and irreducible factorization of univariate-in-t polynomials
-with coefficients in Q[U].  Factorization takes one squarefree part,
-f / gcd(f, df/dt), evaluates U at an integer point where it stays
-squarefree, factors the image over Q with `factor.factor_squarefree`,
-lifts the factors U-adically (the coefficient degree of a monic factor
-is bounded by the coefficient degree of the product), and recombines.
-Each factor's multiplicity in f is then counted by exact division.
+with coefficients in Q[U].  Factorization first evaluates U at a few
+integer points: where f keeps its degree in t and stays squarefree, f is
+squarefree, and an irreducible image proves f irreducible (Gauss's
+lemma).  Otherwise it takes one squarefree part, f / gcd(f, df/dt),
+evaluates U at an integer point where it stays squarefree, factors the
+image over Q with `factor.factor_squarefree`, lifts the factors
+U-adically (the coefficient degree of a monic factor is bounded by the
+coefficient degree of the product), and recombines.  Each factor's
+multiplicity in f is then counted by exact division, unless f was
+already known to be squarefree.
 
 Every gcd in Q[U][t], contents and squarefree parts included, is one
 `multivariate_gcd`: the heuristic integer gcd GCDHEU (Char, Geddes &
@@ -30,12 +34,15 @@ from .factor import (
     _add,
     _deriv,
     _divmod_q,
+    _factor_key,
     _from_coeffs,
     _gcd_q,
     _mul,
     _multiplicity,
     _neg,
+    _prem_z,
     _recombine,
+    _squarefree_z,
     _trim,
     factor_squarefree,
 )
@@ -45,6 +52,9 @@ from .rings import Polynomial, VarMap, _packed_entry, _primitive
 
 # Recombination tries at most this many subsets of the lifted factors.
 MAX_SUBSETS = 100000
+# The irreducibility certificate tries this many points of `_good_point`'s
+# order: the box [-1, 1] for one parameter.
+CERTIFY_POINTS = 3
 # GCDHEU tries this many evaluation points per variable before giving up.
 HEU_POINTS = 6
 
@@ -319,19 +329,79 @@ def _evaluate_params(f, t, point):
     return coeffs
 
 
+def _points(k):
+    """Integer points of Z^k by max-norm radius 0, 1, ..., 11, each radius
+    in `itertools.product` order."""
+    for radius in range(0, 12):
+        for point in itertools.product(range(-radius, radius + 1), repeat=k):
+            if max((abs(x) for x in point), default=0) == radius:
+                yield point
+
+
+def _integer_values(m, t, point):
+    """The dense integer list in t of m's integer form, a rational multiple
+    of m, with every non-t variable at its integer value in point."""
+    ring = m.ring
+    i = ring.var_index(t)
+    values = [point.get(v, 0) for v in ring.variables]
+    coeffs = [0] * (m.degree_in(t) + 1)
+    for e, c in m.integer_form()[0].items():
+        for j, k in enumerate(e):
+            if k and j != i:
+                c *= values[j] ** k
+        coeffs[e[i]] += c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 def _good_point(m, t, params):
     """Integer point where the monic m stays squarefree in t."""
-    for radius in range(0, 12):
-        for point in itertools.product(range(-radius, radius + 1), repeat=len(params)):
-            if max((abs(x) for x in point), default=0) != radius:
-                continue
-            assignment = dict(zip(params, point))
-            coeffs = _evaluate_params(m, t, assignment)
-            if len(coeffs) - 1 != m.degree_in(t):
-                continue
-            if len(_gcd_q(coeffs, _deriv(list(coeffs)))) == 1:
-                return assignment
+    for point in _points(len(params)):
+        assignment = dict(zip(params, point))
+        coeffs = _evaluate_params(m, t, assignment)
+        if len(coeffs) - 1 != m.degree_in(t):
+            continue
+        if len(_gcd_q(coeffs, _deriv(list(coeffs)))) == 1:
+            return assignment
     raise GuardExceeded("evaluation_point", "no squarefree evaluation point found")
+
+
+def _specialisation(m, t, params):
+    """The first point, among CERTIFY_POINTS of `_good_point`'s order,
+    where m keeps its t-degree and stays squarefree, or None.
+
+    Returns (point, factors, dropped): the monic irreducible factors over
+    Q of m there, as `factor_squarefree` lists them, and whether the
+    t-degree of m dropped at an earlier point.  If it did not, the point
+    is also where `_good_point` stops for the monic form of m, since the
+    two agree wherever the lead coefficient does not vanish.
+    """
+    d = m.degree_in(t)
+    dropped = False
+    for point in itertools.islice(_points(len(params)), CERTIFY_POINTS):
+        assignment = dict(zip(params, point))
+        coeffs = _integer_values(m, t, assignment)
+        if len(coeffs) - 1 != d:
+            dropped = True
+        elif _squarefree_z(coeffs):
+            return assignment, factor_squarefree(coeffs), dropped
+    return None
+
+
+def certified_irreducible(m, t, params):
+    """True only if m, primitive in t, is proved irreducible over Q(params).
+
+    A primitive m of t-degree 1 is irreducible.  Otherwise, by Gauss's
+    lemma a factorization m = a*b over Q(params) holds in
+    Q[params][t], and at a point where m keeps its t-degree so do a and
+    b: an irreducible specialisation (`_specialisation`) proves m
+    irreducible.  False means no proof, not reducible.
+    """
+    if m.degree_in(t) == 1:
+        return True
+    found = _specialisation(m, t, params)
+    return found is not None and len(found[1]) == 1
 
 
 def _bezout_family(gs):
@@ -361,22 +431,40 @@ def _mulmod_q(a, b, g):
     return _divmod_q(_mul(a, b), g)[1]
 
 
-def ff_factor_squarefree(m, t, params):
+def ff_factor_squarefree(m, t, params, start=None):
     """Irreducible factors over Q(U) of a squarefree primitive m in Q[U][t].
 
     Returns primitive representatives in Q[U][t]; the product equals m up
-    to a unit of Q(U).
+    to a unit of Q(U).  `start`, when given, is what `_specialisation`
+    found for m.  When `_good_point` stops at its point for the monic form
+    of m, which it does for sure if the t-degree of m dropped at no
+    earlier point, the factors found there are rescaled instead of
+    factored again.
+
+    Recombination evaluates each candidate and the polynomial it must
+    divide at one more integer point, all parameters 1, and tries the
+    exact division over Q[U][t] only if the univariate values divide.
     """
     ring = m.ring
     if m.degree_in(t) <= 1:
         return [primitive_part_in(m, t)]
     monic, lc = _monicize_in_t(m, t)
-    shift = _good_point(monic, t, params)
-    shifted = _substitute_params(monic, shift)
-    # _good_point made the base squarefree.
-    gs = factor_squarefree(_evaluate_params(shifted, t, {v: 0 for v in params}))
+    point, gs, dropped = start or (None, None, True)
+    shift = _good_point(monic, t, params) if dropped else point
+    if shift == point:
+        # monic(t) = lc^(d-1) m(t/lc), so each monic factor g of degree e
+        # of m's value becomes l^e g(t/l), l the value of lc.
+        (l,) = _evaluate_params(lc, t, shift)
+        gs = sorted(
+            ([c * l ** (len(g) - 1 - k) for k, c in enumerate(g)] for g in gs),
+            key=_factor_key,
+        )
+    else:
+        # _good_point made the base squarefree.
+        gs = factor_squarefree(_evaluate_params(monic, t, shift))
     if len(gs) == 1:
         return [primitive_part_in(m, t)]
+    shifted = _substitute_params(monic, shift)
     sigma = _param_degree(shifted, t) + 1
     bezout = _bezout_family(gs)
     lifted = [_from_coeffs(ring, t, g) for g in gs]
@@ -405,11 +493,20 @@ def ff_factor_squarefree(m, t, params):
                 if delta:
                     lifted[idx] = lifted[idx] + u_mono * _from_coeffs(ring, t, delta)
 
+    probe = {v: 1 for v in params}
+    value = [None, None]  # current and its value at the probe
+
     def split(combo, current):
         cand = ring.one()
         for i in combo:
             cand = _truncate_param(cand * lifted[i], t, sigma)
         cand = _truncate_param(cand, t, sigma - 1)
+        # cand is monic in t, so if it divides current, its value at the
+        # probe divides current's value there.
+        if value[0] is not current:
+            value[:] = current, _integer_values(current, t, probe)
+        if _prem_z(value[1], _integer_values(cand, t, probe)):
+            return None
         quotient = exact_quotient(current, cand)
         return None if quotient is None else (cand, quotient)
 
@@ -436,14 +533,31 @@ def ff_factor(m, t, params):
 
     Sorted (stably) by multiplicity; no caller depends on the order.
 
-    The squarefree part of m is factored once with `ff_factor_squarefree`.
-    Each factor's multiplicity is the number of times it divides m: both
-    are primitive in t, so by Gauss's lemma divisibility over Q(U) is
-    divisibility in Q[U][t], which `exact_quotient` decides.
+    A primitive m of t-degree 1 is returned whole.  Otherwise m is
+    evaluated at the first points of `_good_point`'s order
+    (`_specialisation`).  Where it keeps its degree and stays squarefree,
+    m is squarefree; an irreducible value there proves m irreducible
+    (`certified_irreducible`), and m is returned whole.  A value that
+    splits starts the lifting in `ff_factor_squarefree` from that point
+    and its factors, each of multiplicity 1.
+
+    Without such a point the squarefree part of m is factored once with
+    `ff_factor_squarefree`.  Each factor's multiplicity is the number of
+    times it divides m: both are primitive in t, so by Gauss's lemma
+    divisibility over Q(U) is divisibility in Q[U][t], which
+    `exact_quotient` decides.
     """
     m = primitive_part_in(m, t)
-    if m.degree_in(t) == 0:
+    degree = m.degree_in(t)
+    if degree == 0:
         return []
+    if degree == 1:
+        return [(m, 1)]
+    found = _specialisation(m, t, params)
+    if found is not None:
+        if len(found[1]) == 1:
+            return [(m, 1)]
+        return [(irr, 1) for irr in ff_factor_squarefree(m, t, params, found)]
     out = [
         (irr, _multiplicity(m, irr, exact_quotient))
         for irr in ff_factor_squarefree(ff_squarefree_part(m, t), t, params)

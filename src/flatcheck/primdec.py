@@ -15,6 +15,11 @@ independent set U (empty in dimension 0), using the block-order
 lead-coefficient lcm h (1 when U is empty) and the split
 I = (I : h^inf)  n  (I + <h^s>).
 
+An ideal with one generator f is its own prime component, with no split,
+when f is proved irreducible: primitive in a variable v of least degree
+and irreducible over the field of the others by
+`funcfield.certified_irreducible`.
+
 `radical` uses the same split without decomposing:
 rad(I) = rad(I : h^inf)  n  rad(I + <h>), where the first radical comes
 from the squarefree parts of the eliminants over Q(U) (Seidenberg) and
@@ -31,6 +36,8 @@ from typing import List
 
 from .errors import InvalidInput, NotZeroDimensional
 from .funcfield import (
+    certified_irreducible,
+    content_in,
     derivative_in,
     ff_factor,
     ff_gcd_in_t,
@@ -188,7 +195,14 @@ def _lead_coefficient_lcm(I, params):
 
 
 def _squarefree_multivariate(h):
-    """Product of the distinct irreducible factors of h (characteristic 0)."""
+    """Product of the distinct irreducible factors of h (characteristic 0).
+
+    For a one-term h, c*x^a, that is c times the product of the variables
+    of x^a, with no gcd taken.
+    """
+    if len(h.terms) == 1 and not h.is_constant():
+        ((e, c),) = h.terms.items()
+        return h.ring.monomial([min(k, 1) for k in e], c)
     g = None
     for v in sorted(h.variables_used()):
         d = derivative_in(h, v)
@@ -247,10 +261,13 @@ def _radical_over_field(I, params):
 
 
 def _reduced(I):
-    """Ideal re-presented by its reduced degrevlex basis (canonical form)."""
+    """Ideal re-presented by its reduced degrevlex basis (canonical form).
+
+    It is the same ideal, so it keeps every basis I has cached.
+    """
     gb = I.groebner()
     out = Ideal(I.ring, tuple(gb))
-    out._cache[gb.order.descriptor] = gb
+    out._cache.update(I._cache)
     return out
 
 
@@ -314,11 +331,20 @@ def _zero_dim_over_field(I, params):
 
 
 def decompose(I):
-    """Irredundant primary decomposition in any dimension."""
+    """Irredundant primary decomposition in any dimension.
+
+    An ideal with one generator f that `_principal_prime` proves
+    irreducible is its own single prime component, with no independent
+    set, saturation, minimal polynomial or dimension count; every other
+    ideal goes through the split below.
+    """
     if I.is_zero():
         return Decomposition([PrimaryComponent(I, I)], 0)
     if I.is_unit():
         raise InvalidInput("decomposition of the unit ideal")
+    if _principal_prime(I):
+        P = _reduced(I)
+        return Decomposition([PrimaryComponent(P, P)], 0)
     comps = []
     skipped = 0
     stack = [I]
@@ -337,6 +363,23 @@ def decompose(I):
         if s > 0:
             stack.append(ideal_sum(J, Ideal(J.ring, [h**s])))
     return Decomposition(_irredundant(comps), skipped)
+
+
+def _principal_prime(I):
+    """True only if I = <f> for one f proved irreducible.
+
+    With v a variable of least positive degree in f (the first such in
+    the ring), f is irreducible when it is primitive in Q[others][v] and
+    irreducible over Q(others), which `certified_irreducible` proves or
+    leaves open.
+    """
+    if len(I.generators) != 1:
+        return False
+    (f,) = I.generators
+    used = [(f.degree_in(w), w) for w in f.ring.variables if f.degree_in(w) > 0]
+    _, v = min(used, key=lambda pair: pair[0])  # the first of least degree
+    others = [w for _, w in used if w != v]
+    return content_in(f, v).is_constant() and certified_irreducible(f, v, others)
 
 
 def _prime_key(P):

@@ -9,9 +9,13 @@ import pytest
 from flatcheck import factor
 from flatcheck.errors import GuardExceeded, InvalidInput
 from flatcheck.factor import (
+    _deriv,
     _divmod_q,
     _exact_quotient_z,
     _factor_mod_p,
+    _gcd_q,
+    _mul,
+    _squarefree_z,
     factor_squarefree,
     factor_univariate,
 )
@@ -144,6 +148,21 @@ def test_squarefree_examples():
     h = (X - 1) ** 3
     parts = factor_univariate(h)
     assert [(str(p), m) for p, m in parts.factors] == [("x - 1", 3)]
+
+
+def test_integer_squarefree_test_agrees_with_the_rational_gcd():
+    rng = random.Random(17)
+    for _ in range(400):
+        a = [rng.randint(-4, 4) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.4:
+            b = [rng.randint(-3, 3) for _ in range(rng.randint(2, 3))]
+            a = _mul(_mul(a, b), b)
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            continue
+        want = len(_gcd_q(a, _deriv(list(a)))) == 1
+        assert _squarefree_z(a) == want, a
 
 
 def test_squarefree_part():

@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 from test_torsion import _key, _oracle_keys
 
-from flatcheck import flatness, problems
+from flatcheck import cli, flatness, funcfield, ideals, primdec, problems
 from flatcheck.dsl import build_problem, parse_problem
 from flatcheck.errors import (
     FlatcheckError,
@@ -30,6 +30,8 @@ from flatcheck.flatness import (
 from flatcheck.ideals import Ideal, contract_to_base, ideal_sum
 from flatcheck.primdec import radical
 from flatcheck.rings import PolyRing, VarMap
+
+from conftest import cut_at_line
 
 
 # -- shared fixtures ------------------------------------------------------------
@@ -356,12 +358,38 @@ def test_hypotheses_douady(cusp_base, incidence_module, cusp_cover):
     }
 
 
+_TWISTED_CUBIC = """
+ring R = Q[y1, y2, y3] / (y2 - y1^2, y3 - y1^3);
+module F over R = Q[y1, y2, y3, x] / (y2 - y1^2, y3 - y1^3, x^2 - y1);
+"""
+
+
 def test_verify_hypotheses_lets_guard_trips_through():
     # A tripped guard ends the run; it must not read as a failed base_prime.
-    problem = build_problem(parse_problem(problems.read("douady-no-cover")))
+    # The twisted cubic is prime but not principal, so base_prime
+    # decomposes it, building bases of degree above 1.
+    problem = build_problem(parse_problem(_TWISTED_CUBIC))
     with pytest.raises(GuardExceeded) as exc, Guards(max_degree=1):
         verify_hypotheses(problem)
     assert exc.value.guard == "degree"
+
+
+def test_verify_hypotheses_lets_time_trips_through_the_principal_route(monkeypatch):
+    # douady-no-cover's q is one irreducible generator, so base_prime's
+    # decomposition is the principal shortcut, which builds no basis; a
+    # time trip at any line of it still ends the run.
+    def refuse(*args):
+        raise AssertionError("base_prime reached the GTZ split")
+
+    cuts = (1, 200, 1000)
+    fresh = [build_problem(parse_problem(problems.read("douady-no-cover"))) for _ in cuts]
+    monkeypatch.setattr(primdec, "independent_set", refuse)
+    for k, problem in zip(cuts, fresh):
+        with pytest.raises(GuardExceeded) as exc, cut_at_line(k):
+            verify_hypotheses(problem)
+        assert exc.value.guard == "time"
+        status = {c.name: c.status for c in verify_hypotheses(problem)}
+        assert status["base_prime"] == "pass"
 
 
 def test_verify_hypotheses_lets_internal_errors_through(monkeypatch):
@@ -589,3 +617,40 @@ def test_cover_independence(cusp_base, incidence_module, cusp_cover):
     k1 = sorted(tuple(map(str, w.contraction.groebner())) for w in v1.witnesses)
     k2 = sorted(tuple(map(str, w.contraction.groebner())) for w in v2.witnesses)
     assert k1 == k2
+
+
+# -- work done per run ----------------------------------------------------------
+
+# check-flat on the corpus: extra flags, and the Groebner bases one run builds.
+_CORPUS_BASES = {
+    "douady": ((), 26),
+    "douady-no-cover": (("--waive-hypothesis", "cover_smooth"), 13),
+    "cusp-second-cover": ((), 26),
+    "blowup": ((), 14),
+    "xy-collapse": ((), 11),
+    "free-module": ((), 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS_BASES))
+def test_corpus_runs_certify_instead_of_lifting(name, monkeypatch, capsys):
+    # Every base is principal and prime, so base_prime runs no GTZ split,
+    # and every factorization is settled by an irreducible specialisation,
+    # so none lifts.  The basis count pins the work the certificates save.
+    def refuse(*args):
+        raise AssertionError("lifting or GTZ split reached")
+
+    problem = build_problem(parse_problem(problems.read(name)))
+    with monkeypatch.context() as patch:
+        patch.setattr(primdec, "independent_set", refuse)
+        assert flatness._base_prime(problem.base, None)[0]
+    built = []
+    groebner_basis = ideals.groebner_basis
+    monkeypatch.setattr(funcfield, "_bezout_family", refuse)
+    monkeypatch.setattr(
+        ideals, "groebner_basis", lambda *args: built.append(1) or groebner_basis(*args)
+    )
+    flags, count = _CORPUS_BASES[name]
+    assert cli.main(["check-flat", problems.path(name), *flags]) == 0
+    capsys.readouterr()
+    assert len(built) == count

@@ -9,6 +9,7 @@ from flatcheck import funcfield
 from flatcheck.errors import GuardExceeded
 from flatcheck.funcfield import (
     _good_point,
+    certified_irreducible,
     ff_factor,
     ff_gcd_in_t,
     multivariate_gcd,
@@ -242,3 +243,75 @@ def test_timeout_trips_inside_good_point_search():
             _good_point(t**2 - u, "t", ["u"])
         assert exc.value.guard == "time"
     assert _good_point(t**2 - u, "t", ["u"]) == {"u": -1}
+
+
+# -- the irreducibility certificate ---------------------------------------------
+
+
+def test_certificate_proves_irreducible_specialisations():
+    ring = PolyRing(("u", "v", "t"))
+    u, v, t = ring.gens()
+    # t^2 - u is not squarefree at u = 0; at u = -1, t^2 + 1 is irreducible.
+    assert certified_irreducible(t**2 - u, "t", ["u"])
+    assert certified_irreducible(u * t - v, "t", ["u", "v"])  # degree 1
+    assert certified_irreducible(t**3 - u * v - 2, "t", ["u", "v"])
+    # A reducible m has no irreducible specialisation where its degree stays.
+    assert not certified_irreducible(t**2 - u**2, "t", ["u"])
+    assert not certified_irreducible((u * t - 1) * (t + u), "t", ["u"])
+    # t^2 - u - 1 is irreducible, but t^2 - 1, its value at u = 0, splits:
+    # no proof, which is not a proof of the contrary.
+    assert not certified_irreducible(t**2 - u - 1, "t", ["u"])
+    # A square is nowhere squarefree, so the search gives up.
+    assert not certified_irreducible((t**2 - u) ** 2, "t", ["u"])
+
+
+def _random_factor(ring, rng):
+    """A random polynomial of degree 1 or 2 in t over Z[u, v]."""
+    u, v, t = ring.gens()
+    f = t ** rng.randint(1, 2) * rng.choice([1, 1, u, v + 1])
+    for e in range(f.degree_in("t")):
+        for mono in (ring.one(), u, v, u * v):
+            f = f + rng.randint(-2, 2) * mono * t**e
+    return f
+
+
+def test_certificate_leaves_factor_lists_unchanged(monkeypatch):
+    # Irreducibles and products in Q[u, v][t], as the certificate and the
+    # lifting from its point and factors see them, and as the full path
+    # (squarefree part, `_good_point`, multiplicity count) does.
+    rng = random.Random(41)
+    ring = PolyRing(("u", "v", "t"))
+    inputs = []
+    for _ in range(24):
+        m = ring.one()
+        for _ in range(rng.randint(1, 2)):
+            m = m * _random_factor(ring, rng)
+        inputs.append(m)
+    got = [ff_factor(m, "t", ["u", "v"]) for m in inputs]
+    monkeypatch.setattr(funcfield, "_specialisation", lambda m, t, params: None)
+    assert got == [ff_factor(m, "t", ["u", "v"]) for m in inputs]
+    assert any(len(factors) > 1 for factors in got)
+    assert any(len(factors) == 1 and factors[0][0].degree_in("t") > 1 for factors in got)
+
+
+def test_recombination_divides_only_candidates_whose_values_divide(monkeypatch):
+    # t^2 - u - 1 is irreducible, but its first good point u = 0 splits it
+    # into t - 1 and t + 1, so the lifting runs and recombination tries
+    # both lifted factors.  Their values at u = 1 do not divide t^2 - 2,
+    # so neither reaches the exact division.
+    ring = PolyRing(("u", "t"))
+    u, t = ring.gens()
+    m = t**2 - u - 1
+    calls = {"exact_quotient": 0, "_bezout_family": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(funcfield, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(funcfield, name, counted)
+    assert ff_factor(m, "t", ["u"]) == [(m, 1)]
+    assert calls == {"exact_quotient": 0, "_bezout_family": 1}
+    # A true factor passes the value test and is divided out.
+    factors = ff_factor((t**2 - u - 1) * (t - u), "t", ["u"])
+    assert sorted(str(_canon(p, "t")) for p, _ in factors) == sorted(
+        [str(_canon(t**2 - u - 1, "t")), str(_canon(t - u, "t"))]
+    )

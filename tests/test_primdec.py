@@ -11,6 +11,7 @@ from flatcheck.dsl import build_problem, parse_problem
 from flatcheck.errors import GuardExceeded, InvalidInput, NotZeroDimensional
 from flatcheck.flatness import check_flatness
 from flatcheck.ideals import Ideal, intersect, radical_membership
+from flatcheck.orders import MonomialOrder
 from flatcheck.primdec import (
     associated_primes,
     decompose,
@@ -156,6 +157,64 @@ def test_decompose_prime_input_is_fixed_point():
     assert len(dec.components) == 1
     assert dec.components[0].primary.equals(I)
     assert dec.components[0].prime.equals(I)
+
+
+def _principal_cases():
+    ring = PolyRing(("y1", "y2"))
+    y1, y2 = ring.gens()
+    cone = PolyRing(("a", "b", "c"))
+    a, b, c = cone.gens()
+    line = PolyRing(("y",))
+    y = line.var("y")
+    return [
+        Ideal(ring, [y2**2 - y1**3]),
+        Ideal(cone, [c**2 - a * b]),
+        Ideal(ring, [y1 * (y2**2 - y1)]),
+        Ideal(ring, [(y1 - y2**2) ** 2]),
+        Ideal(ring, [y1 * y2]),
+        Ideal(line, [y**4 + 1]),
+    ]
+
+
+def _decomposition_key(dec):
+    return [(c.primary.generators, c.prime.generators) for c in dec.components], dec.retries
+
+
+def test_principal_prime_shortcut_changes_no_decomposition(monkeypatch):
+    # The cusp, the A1 cone and y^4 + 1 are principal primes; the other
+    # generators are reducible, which the certificate never claims.
+    want = [_decomposition_key(decompose(I)) for I in _principal_cases()]
+    monkeypatch.setattr(primdec, "certified_irreducible", lambda m, t, params: False)
+    assert [_decomposition_key(decompose(I)) for I in _principal_cases()] == want
+    assert [len(components) for components, _ in want] == [1, 1, 2, 1, 2, 1]
+
+
+def test_principal_prime_runs_no_gtz_split(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a principal prime reached the GTZ split")
+
+    monkeypatch.setattr(primdec, "independent_set", refuse)
+    cases = _principal_cases()
+    for I in cases[:2] + cases[-1:]:  # the principal primes
+        [(primary, prime)], retries = _decomposition_key(decompose(I))
+        assert primary == prime == tuple(I.groebner())
+        assert retries == 0
+
+
+def test_squarefree_part_of_a_monomial(qxyz):
+    x, y, z = qxyz.gens()
+    h = 6 * x**3 * z**2
+    assert primdec._squarefree_multivariate(h) == 6 * x * z
+    assert primdec._squarefree_multivariate(h * (y + 1)) == 6 * x * z * (y + 1)
+    assert primdec._squarefree_multivariate(qxyz.const(5)) == qxyz.const(5)
+
+
+def test_reduced_keeps_the_bases_of_other_orders(qxy):
+    x, y = qxy.gens()
+    I = Ideal(qxy, [x**2 - y, x * y - 1])
+    block = MonomialOrder.elimination([0], 2)
+    gb = I.groebner(block)
+    assert primdec._reduced(I).groebner(block) is gb
 
 
 def test_decompose_zero_ideal(qxy):
