@@ -319,12 +319,12 @@ def _permuted(f, src):
 def _jacobian_minor_ideal(L, codim):
     """Ideal of codim-size minors of the Jacobian of L's generators."""
     ring = L.ring
+    if codim == 0:
+        return Ideal(ring, [ring.one()])
     gens = list(L.generators)
     cols = list(ring.variables)
     jac = [[derivative_in(g, v) for v in cols] for g in gens]
     minors = []
-    if codim == 0:
-        return Ideal(ring, [ring.one()])
     for rows in combinations(range(len(gens)), codim):
         for cs in combinations(range(len(cols)), codim):
             sub = [[jac[r][c] for c in cs] for r in rows]

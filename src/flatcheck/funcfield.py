@@ -3,16 +3,17 @@
 The positive-dimensional decomposition steps treat an ideal as
 zero-dimensional over Q(U) for a maximal independent set U, which calls
 for gcds and irreducible factorization of univariate-in-t polynomials
-with coefficients in Q[U].  Factorization first evaluates U at a few
-integer points: where f keeps its degree in t and stays squarefree, f is
-squarefree, and an irreducible image proves f irreducible (Gauss's
-lemma).  Otherwise it takes one squarefree part, f / gcd(f, df/dt),
-evaluates U at an integer point where it stays squarefree, factors the
-image over Q with `factor.factor_squarefree`, lifts the factors
-U-adically (the coefficient degree of a monic factor is bounded by the
-coefficient degree of the product), and recombines.  Each factor's
-multiplicity in f is then counted by exact division, unless f was
-already known to be squarefree.
+with coefficients in Q[U].  One walk over integer points of U,
+`_specialisation`, finds where f keeps its degree in t and stays
+squarefree, and factors the image there over Q with
+`factor.factor_squarefree`.  Found among the walk's first few points,
+such a point proves f squarefree, and an irreducible image proves f
+irreducible (Gauss's lemma).  Otherwise the walk, run on one squarefree
+part f / gcd(f, df/dt), finds the lifting's point.  The image's
+factors are lifted U-adically (the coefficient degree of a monic factor
+is bounded by the coefficient degree of the product) and recombined.
+Each factor's multiplicity in f is then counted by exact division,
+unless f was already known to be squarefree.
 
 Every gcd in Q[U][t], contents and squarefree parts included, is one
 `multivariate_gcd`: the heuristic integer gcd GCDHEU (Char, Geddes &
@@ -32,11 +33,9 @@ from math import gcd
 from .errors import GuardExceeded, InvalidInput
 from .factor import (
     _add,
-    _deriv,
     _divmod_q,
     _factor_key,
     _from_coeffs,
-    _gcd_q,
     _mul,
     _multiplicity,
     _neg,
@@ -52,8 +51,8 @@ from .rings import Polynomial, VarMap, _packed_entry, _primitive
 
 # Recombination tries at most this many subsets of the lifted factors.
 MAX_SUBSETS = 100000
-# The irreducibility certificate tries this many points of `_good_point`'s
-# order: the box [-1, 1] for one parameter.
+# The irreducibility certificate tries the first this many points of
+# `_specialisation`'s walk: the box [-1, 1] for one parameter.
 CERTIFY_POINTS = 3
 # GCDHEU tries this many evaluation points per variable before giving up.
 HEU_POINTS = 6
@@ -313,22 +312,6 @@ def _substitute_params(f, assignment):
     return VarMap(ring, ring, images)(f)
 
 
-def _evaluate_params(f, t, point):
-    """Evaluate every non-t variable at an integer point; dense Q list in t."""
-    i = f.ring.var_index(t)
-    coeffs = [Fraction(0)] * (f.degree_in(t) + 1)
-    for exps, c in f.terms.items():
-        val = c
-        for j, e in enumerate(exps):
-            if j == i or e == 0:
-                continue
-            val *= Fraction(point[f.ring.variables[j]]) ** e
-        coeffs[exps[i]] += val
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _points(k):
     """Integer points of Z^k by max-norm radius 0, 1, ..., 11, each radius
     in `itertools.product` order."""
@@ -355,37 +338,20 @@ def _integer_values(m, t, point):
     return coeffs
 
 
-def _good_point(m, t, params):
-    """Integer point where the monic m stays squarefree in t."""
-    for point in _points(len(params)):
-        assignment = dict(zip(params, point))
-        coeffs = _evaluate_params(m, t, assignment)
-        if len(coeffs) - 1 != m.degree_in(t):
-            continue
-        if len(_gcd_q(coeffs, _deriv(list(coeffs)))) == 1:
-            return assignment
-    raise GuardExceeded("evaluation_point", "no squarefree evaluation point found")
+def _specialisation(m, t, params, limit=None):
+    """The first integer point, among the first `limit` of `_points` (all
+    of them if limit is None), where m keeps its t-degree and stays
+    squarefree, or None.
 
-
-def _specialisation(m, t, params):
-    """The first point, among CERTIFY_POINTS of `_good_point`'s order,
-    where m keeps its t-degree and stays squarefree, or None.
-
-    Returns (point, factors, dropped): the monic irreducible factors over
-    Q of m there, as `factor_squarefree` lists them, and whether the
-    t-degree of m dropped at an earlier point.  If it did not, the point
-    is also where `_good_point` stops for the monic form of m, since the
-    two agree wherever the lead coefficient does not vanish.
+    Returns (point, factors): the monic irreducible factors over Q of m
+    there, as `factor_squarefree` lists them.
     """
     d = m.degree_in(t)
-    dropped = False
-    for point in itertools.islice(_points(len(params)), CERTIFY_POINTS):
+    for point in itertools.islice(_points(len(params)), limit):
         assignment = dict(zip(params, point))
         coeffs = _integer_values(m, t, assignment)
-        if len(coeffs) - 1 != d:
-            dropped = True
-        elif _squarefree_z(coeffs):
-            return assignment, factor_squarefree(coeffs), dropped
+        if len(coeffs) - 1 == d and _squarefree_z(coeffs):
+            return assignment, factor_squarefree(coeffs)
     return None
 
 
@@ -395,12 +361,13 @@ def certified_irreducible(m, t, params):
     A primitive m of t-degree 1 is irreducible.  Otherwise, by Gauss's
     lemma a factorization m = a*b over Q(params) holds in
     Q[params][t], and at a point where m keeps its t-degree so do a and
-    b: an irreducible specialisation (`_specialisation`) proves m
-    irreducible.  False means no proof, not reducible.
+    b: an irreducible specialisation at one of the first CERTIFY_POINTS
+    points of `_specialisation`'s walk proves m irreducible.  False means
+    no proof, not reducible.
     """
     if m.degree_in(t) == 1:
         return True
-    found = _specialisation(m, t, params)
+    found = _specialisation(m, t, params, CERTIFY_POINTS)
     return found is not None and len(found[1]) == 1
 
 
@@ -435,11 +402,12 @@ def ff_factor_squarefree(m, t, params, start=None):
     """Irreducible factors over Q(U) of a squarefree primitive m in Q[U][t].
 
     Returns primitive representatives in Q[U][t]; the product equals m up
-    to a unit of Q(U).  `start`, when given, is what `_specialisation`
-    found for m.  When `_good_point` stops at its point for the monic form
-    of m, which it does for sure if the t-degree of m dropped at no
-    earlier point, the factors found there are rescaled instead of
-    factored again.
+    to a unit of Q(U).  The lifting starts at `start`, what
+    `_specialisation` found for m, or else at the first point of its walk;
+    raises GuardExceeded("evaluation_point") if the walk finds none.  An
+    irreducible value there returns m whole.  Otherwise the value's
+    factors are rescaled to those of the monic form of m and lifted
+    U-adically.
 
     Recombination evaluates each candidate and the polynomial it must
     divide at one more integer point, all parameters 1, and tries the
@@ -448,22 +416,20 @@ def ff_factor_squarefree(m, t, params, start=None):
     ring = m.ring
     if m.degree_in(t) <= 1:
         return [primitive_part_in(m, t)]
-    monic, lc = _monicize_in_t(m, t)
-    point, gs, dropped = start or (None, None, True)
-    shift = _good_point(monic, t, params) if dropped else point
-    if shift == point:
-        # monic(t) = lc^(d-1) m(t/lc), so each monic factor g of degree e
-        # of m's value becomes l^e g(t/l), l the value of lc.
-        (l,) = _evaluate_params(lc, t, shift)
-        gs = sorted(
-            ([c * l ** (len(g) - 1 - k) for k, c in enumerate(g)] for g in gs),
-            key=_factor_key,
-        )
-    else:
-        # _good_point made the base squarefree.
-        gs = factor_squarefree(_evaluate_params(monic, t, shift))
+    found = start or _specialisation(m, t, params)
+    if found is None:
+        raise GuardExceeded("evaluation_point", "no squarefree evaluation point found")
+    shift, gs = found
     if len(gs) == 1:
         return [primitive_part_in(m, t)]
+    monic, lc = _monicize_in_t(m, t)
+    # monic(t) = lc^(d-1) m(t/lc), so each monic factor g of degree e of
+    # m's value becomes l^e g(t/l), l the value of lc.
+    l = Fraction(_integer_values(lc, t, shift)[0], lc.integer_form()[1])
+    gs = sorted(
+        ([c * l ** (len(g) - 1 - k) for k, c in enumerate(g)] for g in gs),
+        key=_factor_key,
+    )
     shifted = _substitute_params(monic, shift)
     sigma = _param_degree(shifted, t) + 1
     bezout = _bezout_family(gs)
@@ -534,9 +500,9 @@ def ff_factor(m, t, params):
     Sorted (stably) by multiplicity; no caller depends on the order.
 
     A primitive m of t-degree 1 is returned whole.  Otherwise m is
-    evaluated at the first points of `_good_point`'s order
-    (`_specialisation`).  Where it keeps its degree and stays squarefree,
-    m is squarefree; an irreducible value there proves m irreducible
+    evaluated at the first CERTIFY_POINTS points of `_specialisation`'s
+    walk.  Where it keeps its degree and stays squarefree, m is
+    squarefree; an irreducible value there proves m irreducible
     (`certified_irreducible`), and m is returned whole.  A value that
     splits starts the lifting in `ff_factor_squarefree` from that point
     and its factors, each of multiplicity 1.
@@ -553,7 +519,7 @@ def ff_factor(m, t, params):
         return []
     if degree == 1:
         return [(m, 1)]
-    found = _specialisation(m, t, params)
+    found = _specialisation(m, t, params, CERTIFY_POINTS)
     if found is not None:
         if len(found[1]) == 1:
             return [(m, 1)]

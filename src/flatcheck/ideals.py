@@ -73,17 +73,13 @@ def ideal_sum(I, J):
     return Ideal(I.ring, I.generators + J.generators)
 
 
-def _extended_ring(ring, new_vars):
-    """Ring with fresh variables in front; names are uniquified if needed."""
-    names = []
-    existing = set(ring.variables)
-    for v in new_vars:
-        name = v
-        while name in existing:
-            name += "_"
-        existing.add(name)
-        names.append(name)
-    return PolyRing(tuple(names) + ring.variables), names
+def _extended_ring(ring):
+    """(ring with one fresh variable in front, its name): t, or t_, t__, ...
+    if t is taken."""
+    name = "t"
+    while name in ring.variables:
+        name += "_"
+    return PolyRing((name,) + ring.variables), name
 
 
 def intersect(I, J):
@@ -93,7 +89,7 @@ def intersect(I, J):
     ring = I.ring
     if I.is_zero() or J.is_zero():
         return Ideal(ring)
-    big, (t_name,) = _extended_ring(ring, ["t"])
+    big, t_name = _extended_ring(ring)
     t = big.var(t_name)
     gens = [t * big.transport(g) for g in I.generators]
     gens += [(big.one() - t) * big.transport(g) for g in J.generators]
@@ -117,7 +113,7 @@ def _rabinowitsch(I, f):
     """I + <1 - t*f> in the ring with a fresh variable t, and t's name."""
     if f.ring != I.ring:
         raise VariableClash("Rabinowitsch ideal across rings")
-    big, (t_name,) = _extended_ring(I.ring, ["t"])
+    big, t_name = _extended_ring(I.ring)
     gens = [big.transport(g) for g in I.generators]
     gens.append(big.one() - big.var(t_name) * big.transport(f))
     return Ideal(big, gens), t_name

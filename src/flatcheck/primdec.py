@@ -98,7 +98,7 @@ def _minimal_polynomial(I, form, params=()):
 
     Returns (m, tname) with m primitive in Q[params][tname].
     """
-    big, (tname,) = _extended_ring(I.ring, ["t"])
+    big, tname = _extended_ring(I.ring)
     gens = [big.transport(g) for g in I.generators]
     gens.append(big.var(tname) - big.transport(form))
     return _eliminant(Ideal(big, gens), tname, params), tname

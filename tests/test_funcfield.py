@@ -8,7 +8,7 @@ import pytest
 from flatcheck import funcfield
 from flatcheck.errors import GuardExceeded
 from flatcheck.funcfield import (
-    _good_point,
+    _specialisation,
     certified_irreducible,
     ff_factor,
     ff_gcd_in_t,
@@ -171,6 +171,10 @@ def test_ff_factor_nonmonic():
     factors = ff_factor(m, "t", ["u"])
     got = sorted(str(_canon(p, "t")) for p, _ in factors)
     assert got == sorted([str(_canon(u * t - 1, "t")), str(_canon(t + u, "t"))])
+    # The lead coefficient u vanishes at u = 0, so the lifting starts at
+    # u = -1, not at u = 0, where the monic form stays squarefree; the
+    # factor list is the same from either point.
+    assert factors == [(u * t - 1, 1), (u + t, 1)]
 
 
 def test_ff_factor_cusp_cubic_with_multiplicity():
@@ -234,15 +238,17 @@ def test_timeout_trips_inside_ff_factor():
 
 
 def test_timeout_trips_inside_good_point_search():
-    # At u = 0, t^2 - u is not squarefree, so the search moves on to the
-    # next point; a time trip at any line of the search ends it.
+    # t^2 - u(u+1)(u-1) is not squarefree at u = 0, 1, -1, so the walk
+    # goes on to u = -2; a time trip at any line of the search ends it.
     ring = PolyRing(("u", "t"))
     u, t = ring.gens()
+    m = t**2 - u * (u + 1) * (u - 1)
     for k in (1, 100, 1000):
         with pytest.raises(GuardExceeded) as exc, cut_at_line(k):
-            _good_point(t**2 - u, "t", ["u"])
+            _specialisation(m, "t", ["u"])
         assert exc.value.guard == "time"
-    assert _good_point(t**2 - u, "t", ["u"]) == {"u": -1}
+    point, factors = _specialisation(m, "t", ["u"])
+    assert point == {"u": -2} and len(factors) == 1
 
 
 # -- the irreducibility certificate ---------------------------------------------
@@ -278,7 +284,7 @@ def _random_factor(ring, rng):
 def test_certificate_leaves_factor_lists_unchanged(monkeypatch):
     # Irreducibles and products in Q[u, v][t], as the certificate and the
     # lifting from its point and factors see them, and as the full path
-    # (squarefree part, `_good_point`, multiplicity count) does.
+    # (squarefree part, its own walk, multiplicity count) does.
     rng = random.Random(41)
     ring = PolyRing(("u", "v", "t"))
     inputs = []
@@ -288,7 +294,7 @@ def test_certificate_leaves_factor_lists_unchanged(monkeypatch):
             m = m * _random_factor(ring, rng)
         inputs.append(m)
     got = [ff_factor(m, "t", ["u", "v"]) for m in inputs]
-    monkeypatch.setattr(funcfield, "_specialisation", lambda m, t, params: None)
+    monkeypatch.setattr(funcfield, "CERTIFY_POINTS", 0)
     assert got == [ff_factor(m, "t", ["u", "v"]) for m in inputs]
     assert any(len(factors) > 1 for factors in got)
     assert any(len(factors) == 1 and factors[0][0].degree_in("t") > 1 for factors in got)
