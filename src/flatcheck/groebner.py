@@ -234,7 +234,7 @@ def _s_polynomial(f, g, L):
     return s
 
 
-def buchberger(gens, order):
+def buchberger(gens, order, known=0):
     """A (non-reduced) Groebner basis of the ideal generated by gens.
 
     Returns the basis as (form, lead, lc, degree) entries, the shape of
@@ -258,6 +258,13 @@ def buchberger(gens, order):
     S-polynomials are formed and reduced over Z, keyed by packed
     monomials.  The lead list only grows by appends, so all reductions
     share one first-divisor memo (see `_reduce`).
+
+    When the first `known` gens already form a Groebner basis under
+    order, every S-polynomial among them reduces to zero, so no pair
+    among them is made: their partner bits start set, as if each of
+    those pairs had been popped, and the chain criterion can use them.
+    Pairs are made only with the gens after them.  The known gens must be
+    non-zero, so that dropping zeros keeps them first.
     """
     guards = Guards.current()
     G = [g for g in gens if not g.is_zero()]
@@ -272,12 +279,13 @@ def buchberger(gens, order):
     # Entries (lcm total degree, i, j, packed lcm): (i, j) is unique, so
     # the heap order is a total order and the lcms are never compared.
     pairs = []
-    for j in range(1, len(G)):
+    for j in range(max(known, 1), len(G)):
         for i in range(j):
             L = pack(lcm(exponents[i], exponents[j]))
             pairs.append((L & DEGREE_MASK, i, j, L))
     heapq.heapify(pairs)
-    partners = [0] * len(G)
+    full = (1 << known) - 1
+    partners = [full ^ (1 << i) for i in range(known)] + [0] * (len(G) - known)
     processed = 0
     memo = {}
 
@@ -354,8 +362,12 @@ def reduce_basis(ring, basis, order):
     return GroebnerBasis(tuple(reduced), order)
 
 
-def groebner_basis(gens, order):
-    """Reduced Groebner basis of <gens> under order."""
+def groebner_basis(gens, order, known=0):
+    """Reduced Groebner basis of <gens> under order.
+
+    The first `known` gens, all non-zero, must form a Groebner basis
+    under order; see `buchberger`.
+    """
     gens = [g for g in gens if not g.is_zero()]
     ring = _same_ring(gens)
-    return reduce_basis(ring, buchberger(gens, order), order)
+    return reduce_basis(ring, buchberger(gens, order, known), order)

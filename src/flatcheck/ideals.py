@@ -1,12 +1,35 @@
 """Ideals and derived operations: sum, intersection, quotient, saturation,
-elimination, contraction, Krull dimension, radical membership."""
+elimination, contraction, Krull dimension, radical membership.
+
+An ideal caches Groebner bases by order descriptor, and every entry is
+the reduced basis of its generators under the order it is filed under.
+`Ideal.groebner` fills the cache on demand; the operations below also
+seed their results' caches with the bases they find along the way:
+
+* `intersect`, `quotient`'s intersection and the saturation eliminate a
+  fresh t (`_eliminate_t`) in a block before the order of a basis the
+  ideal has cached, starting from that basis.  The t-free part of the
+  reduced elimination basis is the result's reduced basis under that
+  order.
+* `quotient` divides that basis by f, which leaves a minimal basis of
+  the quotient under the same order, and seeds its reduction.
+* `eliminate` seeds its result's degrevlex basis, the t-free part of its
+  block-order basis, and `contract_to_base` returns that result itself
+  when the base ring lists the kept variables in the same order.
+"""
 
 from __future__ import annotations
 
 from itertools import combinations
 
 from .errors import GuardExceeded, InvalidInput, VariableClash
-from .groebner import exact_divide, groebner_basis, normal_form
+from .groebner import (
+    GroebnerBasis,
+    exact_divide,
+    groebner_basis,
+    normal_form,
+    reduce_basis,
+)
 from .orders import MonomialOrder
 from .rings import PolyRing
 
@@ -15,7 +38,12 @@ SATURATION_STEPS = 512
 
 
 class Ideal:
-    """Finite generator list in a ring, with cached reduced bases per order."""
+    """Finite generator list in a ring, with cached reduced bases per order.
+
+    `_cache` maps an order's descriptor to the reduced basis of the
+    generators under that order, and holds nothing else: a basis seeded
+    by an operation (see the module docstring) is that same basis.
+    """
 
     __slots__ = ("ring", "generators", "_cache")
 
@@ -82,23 +110,77 @@ def _extended_ring(ring):
     return PolyRing((name,) + ring.variables), name
 
 
+def _known_basis(I):
+    """A reduced basis that I has cached: the degrevlex one if cached, else
+    the one cached last; None when I has none."""
+    hit = I._cache.get(I.ring.default_order.descriptor)
+    if hit is None:
+        hit = next(reversed(I._cache.values()), None)
+    return hit
+
+
+def _kept_part(gb, small, drop_idx, order):
+    """The elements of gb free of the variables at drop_idx, as an ideal of
+    small, with them cached as its reduced basis under order.
+
+    gb must be a reduced basis under an order that eliminates those
+    variables and restricts to order on the others: the elements free of
+    them are then the reduced basis of the elimination ideal.
+    """
+    out = Ideal(small, [
+        small.transport(g) for g in gb
+        if all(all(e[i] == 0 for i in drop_idx) for e in g.terms)
+    ])
+    out._cache[order.descriptor] = GroebnerBasis(out.generators, order)
+    return out
+
+
+def _eliminate_t(I, times_t, extra):
+    """Eliminate a fresh variable t from t*I + <extra> (from I + <extra>
+    when times_t is false), in I's ring.
+
+    `extra(big, t)` lists the added generators in the extended ring big,
+    t its variable.  The extended order is a block of t followed by the
+    order of G, a basis I has cached (`_known_basis`), or degrevlex when
+    there is none.  Every monomial of t*g has t-degree one, so t*G is a
+    Groebner basis of t*I, and G is one of I*Q[t, x]: it enters Buchberger
+    as a known prefix, and no pair among its elements is formed.  With no
+    cached basis the raw generators enter instead, with none known.  The
+    result has its reduced basis under G's order cached.
+    """
+    ring = I.ring
+    big, t_name = _extended_ring(ring)
+    t = big.var(t_name)
+    G = _known_basis(I)
+    order = ring.default_order if G is None else G.order
+    prefix = [big.transport(g) for g in (I.generators if G is None else G)]
+    if times_t:
+        prefix = [t * g for g in prefix]
+    shifted = tuple((k, tuple(i + 1 for i in ix)) for k, ix in order.spec)
+    big_order = MonomialOrder((("degrevlex", (0,)),) + shifted, big.nvars)
+    known = 0 if G is None else len(prefix)
+    gb = groebner_basis(prefix + extra(big, t), big_order, known)
+    return _kept_part(gb, ring, [0], order)
+
+
 def intersect(I, J):
     """I n J by the auxiliary-variable trick: eliminate t from t*I + (1-t)*J."""
     if I.ring != J.ring:
         raise VariableClash("intersection across rings")
-    ring = I.ring
     if I.is_zero() or J.is_zero():
-        return Ideal(ring)
-    big, t_name = _extended_ring(ring)
-    t = big.var(t_name)
-    gens = [t * big.transport(g) for g in I.generators]
-    gens += [(big.one() - t) * big.transport(g) for g in J.generators]
-    # t comes first, so eliminate returns the ideal in ring itself.
-    return eliminate(Ideal(big, gens), {t_name})
+        return Ideal(I.ring)
+    return _eliminate_t(
+        I, True, lambda big, t: [(big.one() - t) * big.transport(g) for g in J.generators]
+    )
 
 
 def quotient(I, f):
-    """(I : f) computed as (I n <f>) / f."""
+    """(I : f) computed as (I n <f>) / f.
+
+    The intersection comes with its reduced basis under some order; divided
+    by f, that is a minimal basis of I : f under the same order, so only
+    its reduction runs to give I : f its reduced basis.
+    """
     if f.is_zero():
         raise InvalidInput("quotient by the zero polynomial")
     if f.ring != I.ring:
@@ -106,25 +188,21 @@ def quotient(I, f):
     if I.is_zero():
         return Ideal(I.ring)
     inter = intersect(I, Ideal(I.ring, [f]))
-    return Ideal(I.ring, [exact_divide(g, f) for g in inter.generators])
-
-
-def _rabinowitsch(I, f):
-    """I + <1 - t*f> in the ring with a fresh variable t, and t's name."""
-    if f.ring != I.ring:
-        raise VariableClash("Rabinowitsch ideal across rings")
-    big, t_name = _extended_ring(I.ring)
-    gens = [big.transport(g) for g in I.generators]
-    gens.append(big.one() - big.var(t_name) * big.transport(f))
-    return Ideal(big, gens), t_name
+    out = Ideal(I.ring, [exact_divide(g, f) for g in inter.generators])
+    order = _known_basis(inter).order
+    out._cache[order.descriptor] = reduce_basis(
+        I.ring, [g.packed_form(order) for g in out.generators], order
+    )
+    return out
 
 
 def _saturation(I, f):
     """(I : f^inf), the elimination of t from I + <1 - t*f>."""
     if f.is_zero():
         raise InvalidInput("saturation by the zero polynomial")
-    big, t_name = _rabinowitsch(I, f)
-    return eliminate(big, {t_name})  # in I.ring, since t comes first
+    if f.ring != I.ring:
+        raise VariableClash("saturation across rings")
+    return _eliminate_t(I, False, lambda big, t: [big.one() - t * big.transport(f)])
 
 
 def saturate(I, f):
@@ -151,16 +229,12 @@ def eliminate(I, drop):
         ring.var_index(v)  # raises VariableClash if absent
     if not drop:
         return I
-    keep = [v for v in ring.variables if v not in drop]
-    small = PolyRing(keep)
+    small = PolyRing([v for v in ring.variables if v not in drop])
     drop_idx = [ring.var_index(v) for v in sorted(drop)]
-    order = MonomialOrder.elimination(drop_idx, ring.nvars)
-    gb = I.groebner(order)
-    out = []
-    for g in gb:
-        if all(all(e[i] == 0 for i in drop_idx) for e in g.terms):
-            out.append(small.transport(g))
-    return Ideal(small, out)
+    gb = I.groebner(MonomialOrder.elimination(drop_idx, ring.nvars))
+    # The kept variables form the order's last degrevlex block, in ring
+    # order: the restricted order is small's degrevlex.
+    return _kept_part(gb, small, drop_idx, small.default_order)
 
 
 def contract_to_base(P, base_ring):
@@ -171,6 +245,8 @@ def contract_to_base(P, base_ring):
             raise VariableClash(f"base variable {v!r} missing from the big ring")
     drop = [v for v in P.ring.variables if v not in names]
     small = eliminate(P, drop)
+    if small.ring is base_ring:  # the same variables in the same order
+        return small
     return Ideal(base_ring, [base_ring.transport(g) for g in small.generators])
 
 
@@ -201,5 +277,8 @@ def independent_set(I):
 
 
 def radical_membership(f, I):
-    """f in sqrt(I), by the Rabinowitsch trick."""
-    return _rabinowitsch(I, f)[0].is_unit()
+    """f in sqrt(I), by the Rabinowitsch trick: I : f^inf is <1>, whose
+    reduced basis under any order is [1]."""
+    if f.is_zero():
+        return True
+    return any(g.is_constant() for g in _known_basis(_saturation(I, f)))

@@ -247,14 +247,21 @@ def _candidate_forms(ring, dep_names):
 
 
 def _radical_over_field(I, params):
-    """Radical of I over Q(params) (Seidenberg), contracted to Q[x]."""
+    """Radical of I over Q(params) (Seidenberg), contracted to Q[x].
+
+    An eliminant m lies in I.Q(params)[x], so one that is its own
+    squarefree part adds nothing; when none adds anything, I itself is
+    contracted, with the bases it has cached.
+    """
     ring = I.ring
     deps = [v for v in ring.variables if v not in params]
-    gens = list(I.generators)
+    parts = []
     for xj in deps:
         m = _eliminant(I, xj, params)
-        gens.append(ring.transport(ff_squarefree_part(m, xj)))
-    rad = Ideal(ring, gens)
+        part = ff_squarefree_part(m, xj)
+        if part is not m:
+            parts.append(ring.transport(part))
+    rad = Ideal(ring, I.generators + tuple(parts)) if parts else I
     if params:
         rad = _contract(rad, params)
     return rad

@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 from test_torsion import _key, _oracle_keys
 
-from flatcheck import cli, flatness, funcfield, ideals, primdec, problems
+from flatcheck import cli, flatness, funcfield, groebner, ideals, primdec, problems
 from flatcheck.dsl import build_problem, parse_problem
 from flatcheck.errors import (
     FlatcheckError,
@@ -623,12 +623,12 @@ def test_cover_independence(cusp_base, incidence_module, cusp_cover):
 
 # check-flat on the corpus: extra flags, and the Groebner bases one run builds.
 _CORPUS_BASES = {
-    "douady": ((), 26),
-    "douady-no-cover": (("--waive-hypothesis", "cover_smooth"), 13),
-    "cusp-second-cover": ((), 26),
-    "blowup": ((), 14),
-    "xy-collapse": ((), 11),
-    "free-module": ((), 8),
+    "douady": ((), 23),
+    "douady-no-cover": (("--waive-hypothesis", "cover_smooth"), 12),
+    "cusp-second-cover": ((), 23),
+    "blowup": ((), 10),
+    "xy-collapse": ((), 7),
+    "free-module": ((), 7),
 }
 
 
@@ -654,3 +654,24 @@ def test_corpus_runs_certify_instead_of_lifting(name, monkeypatch, capsys):
     assert cli.main(["check-flat", problems.path(name), *flags]) == 0
     capsys.readouterr()
     assert len(built) == count
+
+
+# check-flat runs, `option power` (None: the file's own) and the
+# S-polynomials Buchberger forms in one run.  Eliminations enter the
+# basis an ideal has cached as a known prefix, and form no pair in it.
+_S_POLYNOMIALS = (("douady", None, 81), ("xy-collapse", 40, 1642))
+
+
+@pytest.mark.parametrize("name, power, count", _S_POLYNOMIALS)
+def test_corpus_s_polynomial_count_is_pinned(name, power, count, monkeypatch, tmp_path):
+    path = problems.path(name)
+    if power is not None:
+        path = tmp_path / f"{name}.flat"
+        path.write_text(problems.read(name) + f"option power = {power};\n", encoding="utf-8")
+    formed = []
+    s_polynomial = groebner._s_polynomial
+    monkeypatch.setattr(
+        groebner, "_s_polynomial", lambda *args: formed.append(1) or s_polynomial(*args)
+    )
+    assert cli.main(["check-flat", str(path), "--format", "json"]) == 0
+    assert len(formed) == count

@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -82,10 +83,12 @@ def _golden(case):
     return GOLDEN / (_case_id(case) + suffix)
 
 
-def _report(command, name, extra):
+def _report(command, name, extra, path=None):
     """One CLI run's report as stable text: the JSON report without
-    timings or, for a `--format text` case, the text without `time:`."""
-    path = problems.path(name)
+    timings or, for a `--format text` case, the text without `time:`.
+
+    `path` is the problem file, the bundled `name` by default."""
+    path = path or problems.path(name)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         if "--format" in extra:
@@ -103,6 +106,23 @@ def _report(command, name, extra):
 def test_report_matches_golden(case):
     expected = _golden(case).read_text(encoding="utf-8")
     assert _report(*case) == expected
+
+
+# Growth inputs: a bundled problem with `option power = p` appended, so the
+# fibred power J has p factor copies.  Each run takes about 0.1 s.
+GROWTH_CASES = (("douady", 10), ("xy-collapse", 40))
+
+
+def _growth_report(directory, name, power):
+    path = directory / f"{name}.flat"
+    path.write_text(problems.read(name) + f"option power = {power};\n", encoding="utf-8")
+    return _report("check-flat", name, (), str(path))
+
+
+@pytest.mark.parametrize("name, power", GROWTH_CASES, ids=lambda v: str(v))
+def test_growth_report_matches_golden(name, power, tmp_path):
+    golden = GOLDEN / f"check-flat--{name}-power-{power}.json"
+    assert _growth_report(tmp_path, name, power) == golden.read_text(encoding="utf-8")
 
 
 def test_every_bundled_problem_has_a_golden_report_and_a_readme_row():
@@ -144,3 +164,8 @@ if __name__ == "__main__":
     for case in CASES:
         _golden(case).write_text(_report(*case), encoding="utf-8")
         print(_case_id(case), file=sys.stderr)
+    with tempfile.TemporaryDirectory() as directory:
+        for name, power in GROWTH_CASES:
+            golden = GOLDEN / f"check-flat--{name}-power-{power}.json"
+            golden.write_text(_growth_report(Path(directory), name, power), encoding="utf-8")
+            print(golden.stem, file=sys.stderr)

@@ -700,3 +700,32 @@ def test_nf_zero_iff_member_bruteforce():
         # 1 is a member only of the unit ideal
         is_unit = normal_form(ring.one(), basis, order).is_zero()
         assert is_unit == any(g.is_constant() for g in basis)
+
+
+_KNOWN_ORDERS = {
+    "degrevlex": MonomialOrder.degrevlex(3),
+    "lex": MonomialOrder.lex(3),
+    # z alone first, then degrevlex on x and y: an elimination order.
+    "block": MonomialOrder((("lex", (2,)), ("degrevlex", (0, 1))), 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KNOWN_ORDERS))
+def test_known_prefix_gives_the_plain_basis(kind):
+    # A reduced basis G of some gens, then more gens: declaring G known
+    # forms no pair inside it and must give the same reduced basis.
+    order = _KNOWN_ORDERS[kind]
+    ring = PolyRing(("x", "y", "z"))
+    rng = random.Random(kind)
+    sizes = set()
+    for _ in range(25):
+        first = [nonzero_random_poly(ring, rng, max_terms=3, max_deg=2)
+                 for _ in range(rng.randint(1, 3))]
+        rest = [nonzero_random_poly(ring, rng, max_terms=3, max_deg=2)
+                for _ in range(rng.randint(1, 2))]
+        G = list(groebner_basis(first, order))
+        plain = groebner_basis(G + rest, order)
+        assert groebner_basis(G + rest, order, known=len(G)) == plain
+        assert plain == groebner_basis(first + rest, order)
+        sizes.add(len(G))
+    assert max(sizes) >= 3  # the partner bits of several known elements

@@ -20,6 +20,8 @@ from flatcheck.ideals import (
     radical_membership,
     saturate,
 )
+from flatcheck.groebner import groebner_basis
+from flatcheck.orders import MonomialOrder
 from flatcheck.rings import PolyRing
 
 from conftest import nonzero_random_poly
@@ -251,3 +253,55 @@ def test_intersection_subset_property(qxy):
         Q = quotient(I, f)
         for g in Q.generators:
             assert I.contains(g * f)
+
+
+def _assert_cache_holds_reduced_bases(I):
+    """Every basis cached on I is the reduced basis of I's generators under
+    its own order, filed under that order's descriptor."""
+    for key, gb in I._cache.items():
+        assert gb.order.descriptor == key
+        assert gb == groebner_basis(I.generators, gb.order)
+
+
+def test_seeded_bases_equal_the_bases_of_the_generators():
+    ring = PolyRing(("x", "y", "z"))
+    block = MonomialOrder.elimination([0], 3)
+    lex = MonomialOrder.lex(3)
+    rng = random.Random(27)
+    seeded = 0
+    for trial in range(24):
+        gens = [nonzero_random_poly(ring, rng, max_terms=3, max_deg=2)
+                for _ in range(rng.randint(1, 3))]
+        I = Ideal(ring, gens)
+        # No basis cached, the degrevlex one, or only a lex or block one:
+        # the elimination then runs in a t block followed by that order.
+        cached = (None, ring.default_order, lex, block)[trial % 4]
+        if cached is not None:
+            I.groebner(cached)
+        f = nonzero_random_poly(ring, rng, max_terms=2, max_deg=1)
+        J = Ideal(ring, [nonzero_random_poly(ring, rng, max_terms=2, max_deg=2)])
+        results = [
+            intersect(I, J),
+            quotient(I, f),
+            ideals._saturation(I, f),
+            eliminate(I, {"x"}),
+            contract_to_base(I, PolyRing(("y", "z"))),
+        ]
+        for R in results:
+            assert R._cache
+            _assert_cache_holds_reduced_bases(R)
+            seeded += len(R._cache)
+        # Seeding never changes the ideal an operation returns.
+        fresh = Ideal(ring, gens)
+        assert results[0].equals(intersect(fresh, J))
+        assert results[1].equals(quotient(fresh, f))
+        assert results[2].equals(ideals._saturation(fresh, f))
+        assert radical_membership(f, I) == radical_membership(f, fresh)
+        # A base ring listing the kept variables in another order gets no
+        # basis of the big ring's order.
+        swapped = contract_to_base(I, PolyRing(("z", "y")))
+        _assert_cache_holds_reduced_bases(swapped)
+        assert swapped.equals(
+            Ideal(swapped.ring, [swapped.ring.transport(g) for g in results[4].generators])
+        )
+    assert seeded >= 5 * 24
