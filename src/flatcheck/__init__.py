@@ -41,14 +41,12 @@ from .ideals import (
     ideal_sum,
     intersect,
     quotient,
-    radical_membership,
     saturate,
 )
 from .orders import MonomialOrder
 from .primdec import (
     Decomposition,
     PrimaryComponent,
-    associated_primes,
     decompose,
     radical,
 )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -32,7 +33,11 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def _build_argparser():
+    """The one parser of the process.  Reusing it is safe: parse_args
+    fills a fresh namespace, and the append action of
+    --waive-hypothesis copies its default list before appending."""
     parser = argparse.ArgumentParser(
         prog="flatcheck",
         description="Flatness testing over singular bases via torsion in fibred powers.",

@@ -45,6 +45,7 @@ from .ideals import (
     independent_set,
     quotient,
 )
+from .orders import MAX_VARS
 from .primdec import _contract, _prime_key, _reduced, decompose, radical
 from .rings import Polynomial, PolyRing
 
@@ -179,6 +180,11 @@ def build_fibred_power(base, module, n, cover=None):
     if n < 1:
         raise InvalidInput("fibred power requires n >= 1")
     xs = module.module_vars
+    # Refuse a ring that no order could pack before naming its variables,
+    # counting each copy as at least one so that n alone is bounded too.
+    cover_vars = () if cover is None else cover.cover_vars
+    if len(base.ring.variables) + n * max(len(xs), 1) + len(cover_vars) > MAX_VARS:
+        raise GuardExceeded("exponent", "too many variables to pack")
     names = dict.fromkeys(base.ring.variables)  # the big ring's, in order
     copies = []  # per k: {module var -> big name}
     for k in range(1, n + 1):
@@ -191,14 +197,13 @@ def build_fibred_power(base, module, n, cover=None):
             labelling[v] = name
         copies.append(labelling)
     renames = {}
-    if cover is not None:
-        for v in cover.cover_vars:
-            name = v
-            while name in names:
-                name = "u_" + name
-            if name != v:
-                renames[v] = name
-            names[name] = None
+    for v in cover_vars:
+        name = v
+        while name in names:
+            name = "u_" + name
+        if name != v:
+            renames[v] = name
+        names[name] = None
     big = PolyRing(names)
     gens = [big.transport(g) for g in base.q.generators]
     for labelling in copies:
@@ -243,7 +248,7 @@ def torsion_witnesses(J, base):
             raise InvalidInput("fibred-power ideal does not contain q")
     if J.is_zero() or J.is_unit():
         return [], 0
-    sat = _contract(J, independent_set(base.q))
+    sat, _ = _contract(J, independent_set(base.q))
     extra = [g for g in sat.generators if not J.contains(g)]
     copies = J.copies if isinstance(J, FibredPower) else ()
     primes, retries = _support_primes(J, extra, copies)

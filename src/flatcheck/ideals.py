@@ -1,12 +1,12 @@
 """Ideals and derived operations: sum, intersection, quotient, saturation,
-elimination, contraction, Krull dimension, radical membership.
+elimination, contraction, Krull dimension.
 
 An ideal caches Groebner bases by order descriptor, and every entry is
 the reduced basis of its generators under the order it is filed under.
 `Ideal.groebner` fills the cache on demand; the operations below also
 seed their results' caches with the bases they find along the way:
 
-* `intersect`, `quotient`'s intersection and the saturation eliminate a
+* `intersect`, `quotient`'s intersection and `saturate` eliminate a
   fresh t (`_eliminate_t`) in a block before the order of a basis the
   ideal has cached, starting from that basis.  The t-free part of the
   reduced elimination basis is the result's reduced basis under that
@@ -16,13 +16,18 @@ seed their results' caches with the bases they find along the way:
 * `eliminate` seeds its result's degrevlex basis, the t-free part of its
   block-order basis, and `contract_to_base` returns that result itself
   when the base ring lists the kept variables in the same order.
+
+`saturate` is the program's one saturation, and it returns I : f^inf
+alone.  The lead-coefficient split that saturates by it is computed in
+one place, `primdec._contract`; the saturation exponent is searched for
+only by `primdec.decompose`, which needs it for its second branch.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import GuardExceeded, InvalidInput, VariableClash
+from .errors import InvalidInput, VariableClash
 from .groebner import (
     GroebnerBasis,
     exact_divide,
@@ -32,9 +37,6 @@ from .groebner import (
 )
 from .orders import MonomialOrder
 from .rings import PolyRing
-
-# Saturation exponents tried before saturation counts as not stabilizing.
-SATURATION_STEPS = 512
 
 
 class Ideal:
@@ -196,29 +198,13 @@ def quotient(I, f):
     return out
 
 
-def _saturation(I, f):
-    """(I : f^inf), the elimination of t from I + <1 - t*f>."""
+def saturate(I, f):
+    """(I : f^inf), the elimination of t from I + <1 - t*f> (Rabinowitsch)."""
     if f.is_zero():
         raise InvalidInput("saturation by the zero polynomial")
     if f.ring != I.ring:
         raise VariableClash("saturation across rings")
     return _eliminate_t(I, False, lambda big, t: [big.one() - t * big.transport(f)])
-
-
-def saturate(I, f):
-    """(I : f^inf), by the Rabinowitsch trick, with its exponent.
-
-    The exponent is the least s with f^s * (I : f^inf) inside I, which is
-    also the least s with I : f^s = I : f^inf; at most SATURATION_STEPS
-    values of s are tried.
-    """
-    sat = _saturation(I, f)
-    gens = sat.generators
-    for exponent in range(SATURATION_STEPS):
-        if all(I.contains(g) for g in gens):
-            return sat, exponent
-        gens = [g * f for g in gens]
-    raise GuardExceeded("saturation", "saturation exponent not found")
 
 
 def eliminate(I, drop):
@@ -274,11 +260,3 @@ def independent_set(I):
             s = set(subset)
             if all(any(e and i not in s for i, e in enumerate(lm)) for lm in lms):
                 return tuple(ring.variables[i] for i in subset)
-
-
-def radical_membership(f, I):
-    """f in sqrt(I), by the Rabinowitsch trick: I : f^inf is <1>, whose
-    reduced basis under any order is [1]."""
-    if f.is_zero():
-        return True
-    return any(g.is_constant() for g in _known_basis(_saturation(I, f)))

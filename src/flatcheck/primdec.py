@@ -1,4 +1,4 @@
-"""Primary decomposition, associated primes, and radicals (GTZ style).
+"""Primary decomposition and radicals (GTZ style).
 
 Zero-dimensional ideals are split along the irreducible factors of the
 minimal polynomial of a linear form.  The forms come from one fixed
@@ -13,7 +13,10 @@ the sequence reaches a separating form after finitely many.  Every
 ideal is reduced to the zero-dimensional case over Q(U) for a maximal
 independent set U (empty in dimension 0), using the block-order
 lead-coefficient lcm h (1 when U is empty) and the split
-I = (I : h^inf)  n  (I + <h^s>).
+I = (I : h^inf)  n  (I + <h^s>).  The lcm h and the saturation
+I : h^inf are computed in one place, `_contract`, for every caller:
+`decompose`, `radical`, the branches of a leaf split and the torsion
+test of `flatness`.  Only `decompose` searches for the exponent s.
 
 An ideal with one generator f is its own prime component, with no split,
 when f is proved irreducible: primitive in a variable v of least degree
@@ -34,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List
 
-from .errors import InvalidInput, NotZeroDimensional
+from .errors import GuardExceeded, InvalidInput, NotZeroDimensional
 from .funcfield import (
     certified_irreducible,
     content_in,
@@ -49,7 +52,6 @@ from .groebner import exact_divide
 from .ideals import (
     Ideal,
     _extended_ring,
-    _saturation,
     eliminate,
     ideal_sum,
     independent_set,
@@ -58,6 +60,10 @@ from .ideals import (
 )
 from .orders import MonomialOrder
 from .rings import Polynomial, VarMap
+
+# Saturation exponents tried before saturation counts as not stabilizing.
+SATURATION_STEPS = 512
+
 
 @dataclass(frozen=True)
 class PrimaryComponent:
@@ -115,17 +121,14 @@ def _substitute_form(f, tname, form, target_ring):
 # -- standard monomial counting --------------------------------------------------
 
 
-def _dep_lead_exponents(I, dep_names):
-    """Leading exponents over Q(U), restricted to the dep positions."""
-    ring = I.ring
-    dep_idx = [ring.var_index(v) for v in dep_names]
-    order = MonomialOrder.elimination(dep_idx, ring.nvars)
-    gb = I.groebner(order)
-    leads = set()
-    for g in gb:
+def _block_leads(I, dep_idx):
+    """Each element g of I's basis under the block order that eliminates
+    the variables at dep_idx, with its leading exponents at dep_idx: the
+    leading monomial of g over Q(the other variables)."""
+    order = MonomialOrder.elimination(dep_idx, I.ring.nvars)
+    for g in I.groebner(order):
         lm = g.leading_term(order)[0]
-        leads.add(tuple(lm[i] for i in dep_idx))
-    return sorted(leads)
+        yield g, tuple(lm[i] for i in dep_idx)
 
 
 def vector_space_dimension(I, params=()):
@@ -134,13 +137,13 @@ def vector_space_dimension(I, params=()):
     Counts the standard monomials in the box of pure-power bounds.
     """
     ring = I.ring
-    deps = [v for v in ring.variables if v not in params]
-    if not deps:
+    dep_idx = [i for i, v in enumerate(ring.variables) if v not in params]
+    if not dep_idx:
         raise NotZeroDimensional("no dependent variables")
-    leads = _dep_lead_exponents(I, deps)
+    leads = {lead for _, lead in _block_leads(I, dep_idx)}
     if any(all(e == 0 for e in lm) for lm in leads):
         return 0  # unit ideal over Q(params)
-    k = len(deps)
+    k = len(dep_idx)
     bounds = []
     for i in range(k):
         pure = [
@@ -150,7 +153,7 @@ def vector_space_dimension(I, params=()):
         ]
         if not pure:
             raise NotZeroDimensional(
-                f"no pure power of {deps[i]} in the lead-term ideal"
+                f"no pure power of {ring.variables[dep_idx[i]]} in the lead-term ideal"
             )
         bounds.append(min(pure))
     count = 0
@@ -169,14 +172,9 @@ def _lead_coefficient_lcm(I, params):
     ring = I.ring
     if not params:
         return ring.one()  # every coefficient over Q is a constant
-    deps = [v for v in ring.variables if v not in params]
-    dep_idx = [ring.var_index(v) for v in deps]
-    order = MonomialOrder.elimination(dep_idx, ring.nvars)
-    gb = I.groebner(order)
+    dep_idx = [i for i, v in enumerate(ring.variables) if v not in params]
     h = ring.one()
-    for g in gb:
-        lm = g.leading_term(order)[0]
-        lead_dep = tuple(lm[i] for i in dep_idx)
+    for g, lead_dep in _block_leads(I, dep_idx):
         coeff_terms = {}
         for exps, c in g.terms.items():
             if tuple(exps[i] for i in dep_idx) == lead_dep:
@@ -218,11 +216,29 @@ def _squarefree_multivariate(h):
 
 
 def _contract(I, params):
-    """I . Q(params)[deps] n Q[x], via saturation by the lead-coeff lcm."""
+    """(I : h^inf, h), with h the lead-coefficient lcm of I over Q(params);
+    I itself for a constant h, as when params is empty.
+
+    I : h^inf is I . Q(params)[deps] n Q[x] (Gianni-Trager-Zacharias).
+    This is the one place the program finds h and saturates by it; only
+    `decompose` goes on to find the exponent (`_saturation_exponent`).
+    """
     h = _lead_coefficient_lcm(I, params)
     if h.is_constant():
-        return I
-    return _saturation(I, h)
+        return I, h
+    return saturate(I, h), h
+
+
+def _saturation_exponent(I, sat, h):
+    """The least s with h^s * sat inside I, sat being I : h^inf: also the
+    least s with I : h^s = I : h^inf.  At most SATURATION_STEPS values
+    of s are tried."""
+    gens = sat.generators
+    for exponent in range(SATURATION_STEPS):
+        if all(I.contains(g) for g in gens):
+            return exponent
+        gens = [g * h for g in gens]
+    raise GuardExceeded("saturation", "saturation exponent not found")
 
 
 # -- zero-dimensional decomposition over Q(params) --------------------------------
@@ -262,9 +278,7 @@ def _radical_over_field(I, params):
         if part is not m:
             parts.append(ring.transport(part))
     rad = Ideal(ring, I.generators + tuple(parts)) if parts else I
-    if params:
-        rad = _contract(rad, params)
-    return rad
+    return _contract(rad, params)[0]
 
 
 def _reduced(I):
@@ -306,9 +320,7 @@ def _zero_dim_over_field(I, params):
                 for f, e in factors:
                     fe = _substitute_form(f, tname, form, ring) ** e
                     sub = ideal_sum(J, Ideal(ring, [fe]))
-                    if params:
-                        sub = _contract(sub, params)
-                    stack.append(sub)
+                    stack.append(_contract(sub, params)[0])
                 break
             # With K = Q(params), K[form] = K[t]/(p) is a field inside
             # K[x]/P for P the radical of J.  If deg p equals the
@@ -361,8 +373,8 @@ def decompose(I):
             continue
         J = _reduced(J)
         U = independent_set(J)
-        h = _lead_coefficient_lcm(J, U)
-        J1, s = (J, 0) if h.is_constant() else saturate(J, h)
+        J1, h = _contract(J, U)
+        s = 0 if h.is_constant() else _saturation_exponent(J, J1, h)
         if not J1.is_unit():
             leaves, failed = _zero_dim_over_field(J1, U)
             comps.extend(leaves)
@@ -419,12 +431,6 @@ def _irredundant(comps):
     return kept
 
 
-def associated_primes(I):
-    """Ass of ring/I, embedded primes included, canonically sorted."""
-    dec = decompose(I)
-    return [c.prime for c in dec.components]
-
-
 def radical(I):
     """Radical of I, by the split rad(I) = rad(I : h^inf) n rad(I + <h>).
 
@@ -436,10 +442,10 @@ def radical(I):
     if I.is_zero() or I.is_unit():
         return I
     U = independent_set(I)
-    h = _lead_coefficient_lcm(I, U)
+    sat, h = _contract(I, U)
+    rad = _radical_over_field(sat, U)
     if h.is_constant():
-        return _reduced(_radical_over_field(I, U))
-    rad = _radical_over_field(_saturation(I, h), U)
+        return _reduced(rad)
     rest = radical(ideal_sum(I, Ideal(I.ring, [h])))
     if not rest.is_unit():
         rad = intersect(rad, rest)

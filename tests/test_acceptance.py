@@ -12,7 +12,7 @@ import pytest
 from flatcheck import problems
 from flatcheck.dsl import build_problem, parse_problem
 from flatcheck.flatness import build_fibred_power, check_flatness, torsion_witnesses
-from flatcheck.primdec import associated_primes
+from flatcheck.primdec import decompose
 
 import test_factor
 import test_groebner
@@ -83,7 +83,7 @@ def test_criterion_2_without_cover_torsion_is_invisible():
         J, _ = build_fibred_power(problem.base, problem.module, 1, None)
         witnesses, _ = torsion_witnesses(J, problem.base)
         assert witnesses == []
-        primes = associated_primes(J)
+        primes = [c.prime for c in decompose(J).components]
         assert len(primes) == 2
         q_key = tuple(str(g) for g in problem.base.q.groebner())
         from flatcheck.ideals import contract_to_base

@@ -400,6 +400,20 @@ def test_a_huge_power_ends_within_its_budget(tmp_path):
     assert proc.returncode == 3
 
 
+def test_a_power_past_any_order_is_refused_before_naming_its_copies(tmp_path):
+    # xy-collapse's fibred power at 10^12 copies would name 10^12 variables;
+    # it is refused by the variable count alone.  The timeout bounds a run
+    # that names them after all, which then trips "time", not "exponent".
+    huge = tmp_path / "huge.flat"
+    huge.write_text(problems.read("xy-collapse") + "option power = 1000000000000;\n")
+    proc = _run_module(
+        "flatcheck", ["check-flat", str(huge), "--timeout", "1", "--format", "json"],
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert strict_json(proc.stdout)["guards"]["tripped"] == "exponent"
+
+
 # -- determinism and batching --------------------------------------------------------
 
 

@@ -38,3 +38,7 @@ def test_traced_worker_is_correct(workload, tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
+    if workload == "check-flat-corpus":
+        # The torsion test saturates through the public `ideals.saturate`,
+        # so the tracer sees every saturation.
+        assert result["metrics"]["ideals.saturate_calls"]["value"] > 0

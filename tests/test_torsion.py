@@ -25,7 +25,7 @@ from flatcheck.flatness import (
     torsion_witnesses,
 )
 from flatcheck.ideals import Ideal, contract_to_base
-from flatcheck.primdec import associated_primes
+from flatcheck.primdec import decompose
 from flatcheck.rings import PolyRing
 
 CORPUS = ("douady", "blowup", "xy-collapse", "free-module", "cusp-second-cover",
@@ -42,7 +42,8 @@ def _oracle_keys(J, base):
     if J.is_unit():
         return []
     q_basis = tuple(base.q.groebner())
-    past_q = [P for P in associated_primes(J)
+    primes = [c.prime for c in decompose(J).components]
+    past_q = [P for P in primes
               if tuple(contract_to_base(P, base.ring).groebner()) != q_basis]
     minimal = [P for P in past_q
                if not any(Q is not P and P.contains_ideal(Q) and not Q.contains_ideal(P)
