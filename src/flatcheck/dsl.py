@@ -22,6 +22,7 @@ from any script.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -69,6 +70,19 @@ def tokenize(text):
             tokens.append(Token(kind, m.group(), line, column))
     tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
+
+
+def _number(tok):
+    """The value of a number token.  Raises ParseError at the token when it
+    has more digits than Python converts from a string."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(
+            f"number longer than {sys.get_int_max_str_digits()} digits",
+            tok.line,
+            tok.column,
+        ) from None
 
 
 @dataclass
@@ -185,11 +199,11 @@ class _Parser:
         kw = self.expect("option")
         key = self.expect(kind="ident").text
         self.expect("=")
-        val = self.expect(kind="number").text
+        val = self.expect(kind="number")
         self.expect(";")
         if key != "power":
             raise ParseError(f"unknown option {key!r}", kw.line, kw.column, ("power",))
-        pf.power = int(val)
+        pf.power = _number(val)
 
     def _assert(self, pf):
         kw = self.expect("assert")
@@ -287,7 +301,7 @@ class _Parser:
             return base
         if tok.kind == "number":
             self.advance()
-            base = ring.const(int(tok.text))
+            base = ring.const(_number(tok))
         elif tok.kind == "ident":
             self.advance()
             try:
@@ -311,7 +325,7 @@ class _Parser:
         if self.peek().text == "^":
             self.advance()
             exp = self.expect(kind="number")
-            base = base ** int(exp.text)
+            base = base ** _number(exp)
         return base
 
 

@@ -101,18 +101,6 @@ def _exact_quotient_z(a, b):
     return None if a else _trim(q)
 
 
-def _gcd_q(a, b):
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    while _trim(b):
-        _, r = _divmod_q(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    inv = Fraction(1) / a[-1]
-    return [x * inv for x in a]
-
-
 def _deriv(a):
     return _trim([i * a[i] for i in range(1, len(a))])
 
@@ -133,17 +121,20 @@ def _prem_z(a, b):
     return a
 
 
-def _squarefree_z(a):
-    """True iff the dense integer list a is squarefree over Q.
-
-    The primitive remainder sequence of a and a' over Z ends in their gcd
-    up to a unit of Q, so a is squarefree iff it ends in a constant.
-    """
+def _gcd_z(a, b):
+    """gcd over Q of the dense integer lists a (non-zero) and b, primitive
+    over Z: the last non-zero term of their primitive remainder sequence,
+    [1] when that is a constant."""
     a = _primitive(a)[0]
-    b = _primitive(_deriv(a))[0]
+    b = _primitive(b)[0]
     while len(b) > 1:
         a, b = b, _primitive(_prem_z(a, b))[0]
-    return len(a) == 1 or len(b) == 1
+    return [1] if b else a
+
+
+def _squarefree_z(a):
+    """True iff the dense integer list a is squarefree over Q."""
+    return len(_gcd_z(a, _deriv(a))) == 1
 
 
 def _content(a):
@@ -522,8 +513,8 @@ def factor_univariate(f, seed=0):
     a = [x / unit for x in coeffs]
     if _deg(a) == 0:
         return Factorization(unit, [])
-    part, _ = _divmod_q(a, _gcd_q(a, _deriv(a)))
     prim = _primitive(_to_int(a)[0])[0]
+    part = _exact_quotient_z(prim, _gcd_z(prim, _deriv(prim)))
     factors = []
     for irr in factor_squarefree(part, seed=seed):
         mult = _multiplicity(prim, _primitive(_to_int(irr)[0])[0], _exact_quotient_z)

@@ -3,17 +3,19 @@
 The positive-dimensional decomposition steps treat an ideal as
 zero-dimensional over Q(U) for a maximal independent set U, which calls
 for gcds and irreducible factorization of univariate-in-t polynomials
-with coefficients in Q[U].  One walk over integer points of U,
-`_specialisation`, finds where f keeps its degree in t and stays
-squarefree, and factors the image there over Q with
+with coefficients in Q[U].  `ff_factor(m, t)` is the one factoring
+entry point, and the one proof of irreducibility: U is read from m, the
+variables it uses other than t, in ring order.  One walk over integer
+points of U, `_specialisation`, finds where m keeps its degree in t and
+stays squarefree, and factors the value there over Q with
 `factor.factor_squarefree`.  Found among the walk's first few points,
-such a point proves f squarefree, and an irreducible image proves f
-irreducible (Gauss's lemma).  Otherwise the walk, run on one squarefree
-part f / gcd(f, df/dt), finds the lifting's point.  The image's
-factors are lifted U-adically (the coefficient degree of a monic factor
-is bounded by the coefficient degree of the product) and recombined.
-Each factor's multiplicity in f is then counted by exact division,
-unless f was already known to be squarefree.
+such a point proves m squarefree; otherwise the walk runs, with no
+limit, on the squarefree part m / gcd(m, dm/dt).  An irreducible value
+proves its polynomial irreducible (Gauss's lemma).  A value that splits
+starts the U-adic lifting, `_lift` (the coefficient degree of a monic
+factor is bounded by the coefficient degree of the product), and its
+recombination.  Each factor's multiplicity in m is then counted by exact
+division, unless m was found squarefree.
 
 Every gcd in Q[U][t], contents and squarefree parts included, is one
 `multivariate_gcd`: the heuristic integer gcd GCDHEU (Char, Geddes &
@@ -51,8 +53,8 @@ from .rings import Polynomial, VarMap, _packed_entry, _primitive
 
 # Recombination tries at most this many subsets of the lifted factors.
 MAX_SUBSETS = 100000
-# The irreducibility certificate tries the first this many points of
-# `_specialisation`'s walk: the box [-1, 1] for one parameter.
+# `ff_factor` walks this many points on m before it walks m's squarefree
+# part: the box [-1, 1] for one parameter.
 CERTIFY_POINTS = 3
 # GCDHEU tries this many evaluation points per variable before giving up.
 HEU_POINTS = 6
@@ -84,13 +86,6 @@ def _from_univariate(ring, var, coeffs):
             key = tuple(key)
             terms[key] = terms.get(key, Fraction(0)) + c
     return Polynomial(ring, terms)
-
-
-def leading_coefficient_in(f, var):
-    d = f.degree_in(var)
-    if d < 0:
-        return f.ring.zero()
-    return _as_univariate(f, var).get(d, f.ring.zero())
 
 
 def content_in(f, var):
@@ -236,12 +231,6 @@ def derivative_in(f, var):
     return Polynomial(f.ring, terms)
 
 
-def ff_gcd_in_t(f, g, t):
-    """Monic-in-t primitive representative of gcd over Q(U)."""
-    h = multivariate_gcd(f, g)
-    return primitive_part_in(h, t)
-
-
 def ff_squarefree_part(f, t):
     """Product of the distinct irreducible factors over Q(U) of f.
 
@@ -249,7 +238,7 @@ def ff_squarefree_part(f, t):
     in t; by Gauss's lemma the primitive gcd divides f in Q[U][t], so the
     division is exact.
     """
-    g = ff_gcd_in_t(f, derivative_in(f, t), t)
+    g = primitive_part_in(multivariate_gcd(f, derivative_in(f, t)), t)
     if g.degree_in(t) == 0:
         return f
     return exact_divide(f, g)
@@ -288,10 +277,10 @@ def _param_homogeneous(f, t, degree):
 def _monicize_in_t(f, t):
     """(monic-in-t polynomial, lc): m(t) -> lc^(d-1) m(t/lc), monic in t."""
     d = f.degree_in(t)
-    lc = leading_coefficient_in(f, t)
+    coeffs = _as_univariate(f, t)
+    lc = coeffs[d]
     if lc == f.ring.one():
         return f, lc
-    coeffs = _as_univariate(f, t)
     out = {d: f.ring.one()}
     for e, poly in coeffs.items():
         if e == d:
@@ -338,14 +327,17 @@ def _integer_values(m, t, point):
     return coeffs
 
 
-def _specialisation(m, t, params, limit=None):
+def _specialisation(m, t, limit=None):
     """The first integer point, among the first `limit` of `_points` (all
     of them if limit is None), where m keeps its t-degree and stays
-    squarefree, or None.
+    squarefree, or None.  The points range over U, the variables m uses
+    other than t, in ring order.
 
     Returns (point, factors): the monic irreducible factors over Q of m
     there, as `factor_squarefree` lists them.
     """
+    used = m.variables_used()
+    params = [v for v in m.ring.variables if v != t and v in used]
     d = m.degree_in(t)
     for point in itertools.islice(_points(len(params)), limit):
         assignment = dict(zip(params, point))
@@ -353,22 +345,6 @@ def _specialisation(m, t, params, limit=None):
         if len(coeffs) - 1 == d and _squarefree_z(coeffs):
             return assignment, factor_squarefree(coeffs)
     return None
-
-
-def certified_irreducible(m, t, params):
-    """True only if m, primitive in t, is proved irreducible over Q(params).
-
-    A primitive m of t-degree 1 is irreducible.  Otherwise, by Gauss's
-    lemma a factorization m = a*b over Q(params) holds in
-    Q[params][t], and at a point where m keeps its t-degree so do a and
-    b: an irreducible specialisation at one of the first CERTIFY_POINTS
-    points of `_specialisation`'s walk proves m irreducible.  False means
-    no proof, not reducible.
-    """
-    if m.degree_in(t) == 1:
-        return True
-    found = _specialisation(m, t, params, CERTIFY_POINTS)
-    return found is not None and len(found[1]) == 1
 
 
 def _bezout_family(gs):
@@ -394,34 +370,21 @@ def _bezout_family(gs):
     return family
 
 
-def _mulmod_q(a, b, g):
-    return _divmod_q(_mul(a, b), g)[1]
+def _lift(m, t, found):
+    """Irreducible factors over Q(U) of m, squarefree and primitive in t.
 
-
-def ff_factor_squarefree(m, t, params, start=None):
-    """Irreducible factors over Q(U) of a squarefree primitive m in Q[U][t].
-
-    Returns primitive representatives in Q[U][t]; the product equals m up
-    to a unit of Q(U).  The lifting starts at `start`, what
-    `_specialisation` found for m, or else at the first point of its walk;
-    raises GuardExceeded("evaluation_point") if the walk finds none.  An
-    irreducible value there returns m whole.  Otherwise the value's
-    factors are rescaled to those of the monic form of m and lifted
-    U-adically.
+    `found` is what `_specialisation` found for m: a point and m's value
+    there, split into two or more factors over Q.  Returns primitive
+    representatives in Q[U][t]; the product equals m up to a unit of
+    Q(U).  The value's factors are rescaled to those of the monic form of
+    m and lifted U-adically.
 
     Recombination evaluates each candidate and the polynomial it must
-    divide at one more integer point, all parameters 1, and tries the
-    exact division over Q[U][t] only if the univariate values divide.
+    divide at one more integer point, all of U at 1, and tries the exact
+    division over Q[U][t] only if the univariate values divide.
     """
     ring = m.ring
-    if m.degree_in(t) <= 1:
-        return [primitive_part_in(m, t)]
-    found = start or _specialisation(m, t, params)
-    if found is None:
-        raise GuardExceeded("evaluation_point", "no squarefree evaluation point found")
     shift, gs = found
-    if len(gs) == 1:
-        return [primitive_part_in(m, t)]
     monic, lc = _monicize_in_t(m, t)
     # monic(t) = lc^(d-1) m(t/lc), so each monic factor g of degree e of
     # m's value becomes l^e g(t/l), l the value of lc.
@@ -455,11 +418,11 @@ def ff_factor_squarefree(m, t, params, start=None):
                 dense[e] = c
             u_mono = ring.monomial(key, 1)
             for idx, g in enumerate(gs):
-                delta = _mulmod_q(bezout[idx], dense, g)
+                delta = _divmod_q(_mul(bezout[idx], dense), g)[1]
                 if delta:
                     lifted[idx] = lifted[idx] + u_mono * _from_coeffs(ring, t, delta)
 
-    probe = {v: 1 for v in params}
+    probe = dict.fromkeys(ring.variables, 1)
     value = [None, None]  # current and its value at the probe
 
     def split(combo, current):
@@ -494,39 +457,39 @@ def ff_factor_squarefree(m, t, params, start=None):
     return out
 
 
-def ff_factor(m, t, params):
+def ff_factor(m, t):
     """Full factorization over Q(U): [(primitive irreducible, multiplicity)].
 
-    Sorted (stably) by multiplicity; no caller depends on the order.
+    U is read from m: the variables it uses other than t.  Sorted
+    (stably) by multiplicity; no caller depends on the order.  A single
+    factor of multiplicity 1 proves m's primitive part irreducible over
+    Q(U).
 
-    A primitive m of t-degree 1 is returned whole.  Otherwise m is
-    evaluated at the first CERTIFY_POINTS points of `_specialisation`'s
-    walk.  Where it keeps its degree and stays squarefree, m is
-    squarefree; an irreducible value there proves m irreducible
-    (`certified_irreducible`), and m is returned whole.  A value that
-    splits starts the lifting in `ff_factor_squarefree` from that point
-    and its factors, each of multiplicity 1.
-
-    Without such a point the squarefree part of m is factored once with
-    `ff_factor_squarefree`.  Each factor's multiplicity is the number of
-    times it divides m: both are primitive in t, so by Gauss's lemma
-    divisibility over Q(U) is divisibility in Q[U][t], which
-    `exact_quotient` decides.
+    A primitive m of t-degree 1 is returned whole.  Otherwise the point
+    is the first of `_specialisation`'s walk, among its first
+    CERTIFY_POINTS, where m keeps its degree and stays squarefree: m is
+    then squarefree.  Without one, the walk runs with no limit on the
+    squarefree part of m; raises GuardExceeded("evaluation_point") if it
+    finds no point.  An irreducible value there proves its polynomial
+    irreducible (Gauss's lemma); a value that splits is lifted (`_lift`).
+    Each factor's multiplicity is the number of times it divides m: both
+    are primitive in t, so by Gauss's lemma divisibility over Q(U) is
+    divisibility in Q[U][t], which `exact_quotient` decides.
     """
     m = primitive_part_in(m, t)
     degree = m.degree_in(t)
-    if degree == 0:
-        return []
-    if degree == 1:
-        return [(m, 1)]
-    found = _specialisation(m, t, params, CERTIFY_POINTS)
-    if found is not None:
-        if len(found[1]) == 1:
-            return [(m, 1)]
-        return [(irr, 1) for irr in ff_factor_squarefree(m, t, params, found)]
-    out = [
-        (irr, _multiplicity(m, irr, exact_quotient))
-        for irr in ff_factor_squarefree(ff_squarefree_part(m, t), t, params)
-    ]
+    if degree <= 1:
+        return [(m, 1)] if degree else []
+    squarefree = m
+    found = _specialisation(m, t, CERTIFY_POINTS)
+    if found is None:
+        squarefree = ff_squarefree_part(m, t)
+        found = _specialisation(squarefree, t)
+        if found is None:
+            raise GuardExceeded("evaluation_point", "no squarefree evaluation point found")
+    factors = [squarefree] if len(found[1]) == 1 else _lift(squarefree, t, found)
+    if squarefree is m:
+        return [(irr, 1) for irr in factors]
+    out = [(irr, _multiplicity(m, irr, exact_quotient)) for irr in factors]
     out.sort(key=lambda pair: pair[1])
     return out

@@ -143,26 +143,23 @@ def _eliminate_t(I, times_t, extra):
 
     `extra(big, t)` lists the added generators in the extended ring big,
     t its variable.  The extended order is a block of t followed by the
-    order of G, a basis I has cached (`_known_basis`), or degrevlex when
-    there is none.  Every monomial of t*g has t-degree one, so t*G is a
-    Groebner basis of t*I, and G is one of I*Q[t, x]: it enters Buchberger
-    as a known prefix, and no pair among its elements is formed.  With no
-    cached basis the raw generators enter instead, with none known.  The
-    result has its reduced basis under G's order cached.
+    order of G, a basis I has cached (`_known_basis`), else its degrevlex
+    basis.  Every monomial of t*g has t-degree one, so t*G is a Groebner
+    basis of t*I, and G is one of I*Q[t, x]: it enters Buchberger as a
+    known prefix, and no pair among its elements is formed.  The result
+    has its reduced basis under G's order cached.
     """
     ring = I.ring
     big, t_name = _extended_ring(ring)
     t = big.var(t_name)
-    G = _known_basis(I)
-    order = ring.default_order if G is None else G.order
-    prefix = [big.transport(g) for g in (I.generators if G is None else G)]
+    G = _known_basis(I) or I.groebner()
+    prefix = [big.transport(g) for g in G]
     if times_t:
         prefix = [t * g for g in prefix]
-    shifted = tuple((k, tuple(i + 1 for i in ix)) for k, ix in order.spec)
+    shifted = tuple((k, tuple(i + 1 for i in ix)) for k, ix in G.order.spec)
     big_order = MonomialOrder((("degrevlex", (0,)),) + shifted, big.nvars)
-    known = 0 if G is None else len(prefix)
-    gb = groebner_basis(prefix + extra(big, t), big_order, known)
-    return _kept_part(gb, ring, [0], order)
+    gb = groebner_basis(prefix + extra(big, t), big_order, len(prefix))
+    return _kept_part(gb, ring, [0], G.order)
 
 
 def intersect(I, J):

@@ -18,10 +18,12 @@ I : h^inf are computed in one place, `_contract`, for every caller:
 `decompose`, `radical`, the branches of a leaf split and the torsion
 test of `flatness`.  Only `decompose` searches for the exponent s.
 
-An ideal with one generator f is its own prime component, with no split,
-when f is proved irreducible: primitive in a variable v of least degree
-and irreducible over the field of the others by
-`funcfield.certified_irreducible`.
+Every factoring over Q(U), of a leaf's minimal polynomial or of a
+principal generator, is one call `funcfield.ff_factor(m, t)`, which
+reads U from m.  An ideal with one generator f is its own prime
+component, with no split, when f is irreducible: primitive in a variable
+v of least degree, and one factor of multiplicity 1 over the field of
+the others.
 
 `radical` uses the same split without decomposing:
 rad(I) = rad(I : h^inf)  n  rad(I + <h>), where the first radical comes
@@ -39,11 +41,9 @@ from typing import List
 
 from .errors import GuardExceeded, InvalidInput, NotZeroDimensional
 from .funcfield import (
-    certified_irreducible,
     content_in,
     derivative_in,
     ff_factor,
-    ff_gcd_in_t,
     ff_squarefree_part,
     multivariate_gcd,
     primitive_part_in,
@@ -92,7 +92,7 @@ def _eliminant(I, v, params):
         raise NotZeroDimensional(f"{v} is transcendental over Q(params)")
     m = E.generators[0]
     for g in E.generators[1:]:
-        m = ff_gcd_in_t(m, g, v)
+        m = primitive_part_in(multivariate_gcd(m, g), v)
     m = primitive_part_in(m, v)
     if m.degree_in(v) < 1:
         raise InvalidInput(f"eliminant in {v} degenerated to a constant")
@@ -315,7 +315,7 @@ def _zero_dim_over_field(I, params):
         dim_j = prime = None
         for form in _candidate_forms(ring, deps):
             m, tname = _minimal_polynomial(J, form, params)
-            factors = ff_factor(m, tname, [v for v in m.ring.variables if v != tname])
+            factors = ff_factor(m, tname)
             if len(factors) > 1:
                 for f, e in factors:
                     fe = _substitute_form(f, tname, form, ring) ** e
@@ -385,20 +385,18 @@ def decompose(I):
 
 
 def _principal_prime(I):
-    """True only if I = <f> for one f proved irreducible.
+    """True iff I = <f> for one irreducible f.
 
     With v a variable of least positive degree in f (the first such in
-    the ring), f is irreducible when it is primitive in Q[others][v] and
-    irreducible over Q(others), which `certified_irreducible` proves or
-    leaves open.
+    the ring), f is irreducible iff it is primitive in Q[others][v] and
+    `ff_factor` finds one factor of multiplicity 1 over Q(others).
     """
     if len(I.generators) != 1:
         return False
     (f,) = I.generators
     used = [(f.degree_in(w), w) for w in f.ring.variables if f.degree_in(w) > 0]
     _, v = min(used, key=lambda pair: pair[0])  # the first of least degree
-    others = [w for _, w in used if w != v]
-    return content_in(f, v).is_constant() and certified_irreducible(f, v, others)
+    return content_in(f, v).is_constant() and [e for _, e in ff_factor(f, v)] == [1]
 
 
 def _prime_key(P):

@@ -23,6 +23,7 @@ gives one instance per variable tuple, so ring equality is identity and
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Tuple
@@ -402,6 +403,8 @@ def poly_to_string(f, order=None):
     """Render in the problem-file syntax: `4*y1^3 + 27*y2^2`.
 
     Terms come largest first under order (default: the ring's order).
+    Raises InvalidInput for a coefficient with more digits than Python
+    converts to a string.
     """
     if f.is_zero():
         return "0"
@@ -414,12 +417,15 @@ def poly_to_string(f, order=None):
             elif e > 1:
                 factors.append(f"{f.ring.variables[i]}^{e}")
         mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = str(mag) + "*" + "*".join(factors)
+        if mag != 1 or not factors:
+            try:
+                factors.insert(0, str(mag))
+            except ValueError:
+                raise InvalidInput(
+                    f"a coefficient is longer than {sys.get_int_max_str_digits()}"
+                    " digits and cannot be printed"
+                ) from None
+        body = "*".join(factors)
         if not parts:
             parts.append(body if coeff > 0 else "-" + body)
         else:

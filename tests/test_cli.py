@@ -252,6 +252,37 @@ def test_a_superscript_digit_is_a_parse_error(text, line, column, tmp_path, caps
     assert f"'\u00b2' at line {line}, column {column}" in rep["error"]
 
 
+# Python converts at most this many digits between int and str.
+_DIGITS = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        (f"ring R = Q[y] / (2*y - {'7' * (_DIGITS + 700)});\n", 1, 24),
+        (f"ring R = Q[y];\noption power = {'7' * (_DIGITS + 700)};\n", 2, 16),
+    ],
+    ids=["coefficient", "power"],
+)
+def test_a_number_past_the_digit_limit_is_a_parse_error(text, line, column, tmp_path, capsys):
+    bad = tmp_path / "bad.flat"
+    bad.write_text(text)
+    code, rep = run_json(["check-flat", str(bad)], capsys)
+    assert code == 2
+    assert rep["status"] == "error"
+    assert f"number longer than {_DIGITS} digits at line {line}, column {column}" in rep["error"]
+
+
+def test_a_basis_coefficient_past_the_digit_limit_is_an_error_report(tmp_path, capsys):
+    # The monic basis element y + 1/10^k has a denominator of k + 1 digits.
+    bad = tmp_path / "bad.flat"
+    bad.write_text(f"ring R = Q[y] / (10^{_DIGITS + 100}*y + 1);\n")
+    code, rep = run_json(["gb", str(bad), "--target", "ring"], capsys)
+    assert code == 2
+    assert rep["status"] == "error"
+    assert f"longer than {_DIGITS} digits and cannot be printed" in rep["error"]
+
+
 @pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", "")])
 def test_deep_nesting_is_a_parse_error(opener, closer, tmp_path, capsys):
     bad = tmp_path / "bad.flat"

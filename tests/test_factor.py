@@ -13,8 +13,9 @@ from flatcheck.factor import (
     _divmod_q,
     _exact_quotient_z,
     _factor_mod_p,
-    _gcd_q,
+    _gcd_z,
     _mul,
+    _trim,
     _squarefree_z,
     factor_squarefree,
     factor_univariate,
@@ -150,6 +151,19 @@ def test_squarefree_examples():
     assert [(str(p), m) for p, m in parts.factors] == [("x - 1", 3)]
 
 
+def _gcd_q(a, b):
+    """Monic gcd over Q by Euclid's algorithm on Fraction lists."""
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    while _trim(b):
+        _, r = _divmod_q(a, b)
+        a, b = b, r
+    if not a:
+        return []
+    inv = Fraction(1) / a[-1]
+    return [x * inv for x in a]
+
+
 def test_integer_squarefree_test_agrees_with_the_rational_gcd():
     rng = random.Random(17)
     for _ in range(400):
@@ -161,8 +175,10 @@ def test_integer_squarefree_test_agrees_with_the_rational_gcd():
             a.pop()
         if not a:
             continue
-        want = len(_gcd_q(a, _deriv(list(a)))) == 1
-        assert _squarefree_z(a) == want, a
+        want = _gcd_q(a, _deriv(list(a)))
+        assert _squarefree_z(a) == (len(want) == 1), a
+        g = _gcd_z(a, _deriv(a))
+        assert [Fraction(x, g[-1]) for x in g] == want, a
 
 
 def test_squarefree_part():

@@ -9,9 +9,7 @@ from flatcheck import funcfield
 from flatcheck.errors import GuardExceeded
 from flatcheck.funcfield import (
     _specialisation,
-    certified_irreducible,
     ff_factor,
-    ff_gcd_in_t,
     multivariate_gcd,
     primitive_part_in,
 )
@@ -121,7 +119,7 @@ def test_gcd_trial_division_trips_the_exponent_guard():
 def test_gcd_of_coprime_is_unit():
     ring = PolyRing(("u", "t"))
     u, t = ring.gens()
-    g = ff_gcd_in_t(t - u, t + u + 1, "t")
+    g = multivariate_gcd(t - u, t + u + 1)
     assert g.degree_in("t") == 0
 
 
@@ -129,7 +127,7 @@ def test_squarefree_decomposition():
     ring = PolyRing(("u", "t"))
     u, t = ring.gens()
     f = (t - u) ** 2 * (t + 2 * u)
-    parts = ff_factor(f, "t", ["u"])
+    parts = ff_factor(f, "t")
     norm = sorted((str(_canon(p, "t")), m) for p, m in parts if p.degree_in("t") > 0)
     assert norm == [
         (str(_canon(t + 2 * u, "t")), 1),
@@ -148,7 +146,7 @@ def test_squarefree_decomposition():
 def test_ff_factor_difference_of_squares():
     ring = PolyRing(("u", "t"))
     u, t = ring.gens()
-    factors = ff_factor(t**2 - u**2, "t", ["u"])
+    factors = ff_factor(t**2 - u**2, "t")
     got = sorted((str(_canon(p, "t")), m) for p, m in factors)
     assert got == sorted(
         [(str(_canon(t - u, "t")), 1), (str(_canon(t + u, "t")), 1)]
@@ -159,7 +157,7 @@ def test_ff_factor_irreducibles_stay_whole():
     ring = PolyRing(("u", "v", "t"))
     u, v, t = ring.gens()
     for m in (t**2 - u, t**3 - u * v):
-        factors = ff_factor(m, "t", ["u", "v"])
+        factors = ff_factor(m, "t")
         assert len(factors) == 1 and factors[0][1] == 1
         assert _canon(factors[0][0], "t") == _canon(m, "t")
 
@@ -168,7 +166,7 @@ def test_ff_factor_nonmonic():
     ring = PolyRing(("u", "t"))
     u, t = ring.gens()
     m = (u * t - 1) * (t + u)
-    factors = ff_factor(m, "t", ["u"])
+    factors = ff_factor(m, "t")
     got = sorted(str(_canon(p, "t")) for p, _ in factors)
     assert got == sorted([str(_canon(u * t - 1, "t")), str(_canon(t + u, "t"))])
     # The lead coefficient u vanishes at u = 0, so the lifting starts at
@@ -181,7 +179,7 @@ def test_ff_factor_cusp_cubic_with_multiplicity():
     ring = PolyRing(("u", "x"))
     u, x = ring.gens()
     m = x**3 - 3 * u**2 * x + 2 * u**3  # (x - u)^2 (x + 2u)
-    factors = ff_factor(m, "x", ["u"])
+    factors = ff_factor(m, "x")
     got = sorted((str(_canon(p, "x")), mult) for p, mult in factors)
     assert got == sorted(
         [(str(_canon(x - u, "x")), 2), (str(_canon(x + 2 * u, "x")), 1)]
@@ -198,7 +196,7 @@ def test_ff_factor_random_products_reassemble():
         m = ring.one()
         for p in chosen:
             m = m * p
-        factors = ff_factor(m, "t", ["u"])
+        factors = ff_factor(m, "t")
         assert sum(mult * p.degree_in("t") for p, mult in factors) == m.degree_in("t")
         recon = ring.one()
         for p, mult in factors:
@@ -220,7 +218,7 @@ def test_ff_factor_multiplicities():
         m = ring.one()
         for p, e in zip(chosen, mults):
             m = m * p**e
-        factors = ff_factor(m, "t", ["u"])
+        factors = ff_factor(m, "t")
         got = sorted((str(_canon(p, "t")), mult) for p, mult in factors)
         assert got == sorted((str(_canon(p, "t")), e) for p, e in zip(chosen, mults))
         assert [mult for _, mult in factors] == sorted(mults)
@@ -229,12 +227,12 @@ def test_ff_factor_multiplicities():
 def test_timeout_trips_inside_ff_factor():
     ring = PolyRing(("u", "t"))
     u, t = ring.gens()
-    want = ff_factor(t**2 - u**2, "t", ["u"])
+    want = ff_factor(t**2 - u**2, "t")
     for k in (1, 100, 1000, 10000):
         with pytest.raises(GuardExceeded) as exc, cut_at_line(k):
-            ff_factor(t**2 - u**2, "t", ["u"])
+            ff_factor(t**2 - u**2, "t")
         assert exc.value.guard == "time"
-        assert ff_factor(t**2 - u**2, "t", ["u"]) == want
+        assert ff_factor(t**2 - u**2, "t") == want
 
 
 def test_timeout_trips_inside_good_point_search():
@@ -245,30 +243,42 @@ def test_timeout_trips_inside_good_point_search():
     m = t**2 - u * (u + 1) * (u - 1)
     for k in (1, 100, 1000):
         with pytest.raises(GuardExceeded) as exc, cut_at_line(k):
-            _specialisation(m, "t", ["u"])
+            _specialisation(m, "t")
         assert exc.value.guard == "time"
-    point, factors = _specialisation(m, "t", ["u"])
+    point, factors = _specialisation(m, "t")
     assert point == {"u": -2} and len(factors) == 1
 
 
-# -- the irreducibility certificate ---------------------------------------------
+# -- irreducibility proofs ------------------------------------------------------
 
 
 def test_certificate_proves_irreducible_specialisations():
     ring = PolyRing(("u", "v", "t"))
     u, v, t = ring.gens()
     # t^2 - u is not squarefree at u = 0; at u = -1, t^2 + 1 is irreducible.
-    assert certified_irreducible(t**2 - u, "t", ["u"])
-    assert certified_irreducible(u * t - v, "t", ["u", "v"])  # degree 1
-    assert certified_irreducible(t**3 - u * v - 2, "t", ["u", "v"])
+    for m in (t**2 - u, u * t - v, t**3 - u * v - 2):
+        assert ff_factor(m, "t") == [(m, 1)]
     # A reducible m has no irreducible specialisation where its degree stays.
-    assert not certified_irreducible(t**2 - u**2, "t", ["u"])
-    assert not certified_irreducible((u * t - 1) * (t + u), "t", ["u"])
+    assert len(ff_factor(t**2 - u**2, "t")) == 2
+    assert len(ff_factor((u * t - 1) * (t + u), "t")) == 2
     # t^2 - u - 1 is irreducible, but t^2 - 1, its value at u = 0, splits:
-    # no proof, which is not a proof of the contrary.
-    assert not certified_irreducible(t**2 - u - 1, "t", ["u"])
-    # A square is nowhere squarefree, so the search gives up.
-    assert not certified_irreducible((t**2 - u) ** 2, "t", ["u"])
+    # the lifting and recombination find no proper factor.
+    assert ff_factor(t**2 - u - 1, "t") == [(t**2 - u - 1, 1)]
+    # A square is nowhere squarefree: its squarefree part is walked.
+    assert ff_factor((t**2 - u) ** 2, "t") == [(t**2 - u, 2)]
+
+
+def test_specialisation_walks_only_the_variables_m_uses():
+    # w is a variable of the ring but not of m, so the walk is over u
+    # alone: u = 0 (t^2 not squarefree), then u = -1, where t^2 + 1 is
+    # irreducible.  A walk over (u, w) would take (u, w) = (-1, -1) first.
+    ring = PolyRing(("u", "w", "t"))
+    u, w, t = ring.gens()
+    point, factors = _specialisation(t**2 - u, "t")
+    assert point == {"u": -1} and len(factors) == 1
+    assert _specialisation((t - u) * (t + u), "t", 1) is None
+    point, _ = _specialisation((t - u) * (t + u), "t", 2)
+    assert point == {"u": -1}
 
 
 def _random_factor(ring, rng):
@@ -293,9 +303,9 @@ def test_certificate_leaves_factor_lists_unchanged(monkeypatch):
         for _ in range(rng.randint(1, 2)):
             m = m * _random_factor(ring, rng)
         inputs.append(m)
-    got = [ff_factor(m, "t", ["u", "v"]) for m in inputs]
+    got = [ff_factor(m, "t") for m in inputs]
     monkeypatch.setattr(funcfield, "CERTIFY_POINTS", 0)
-    assert got == [ff_factor(m, "t", ["u", "v"]) for m in inputs]
+    assert got == [ff_factor(m, "t") for m in inputs]
     assert any(len(factors) > 1 for factors in got)
     assert any(len(factors) == 1 and factors[0][0].degree_in("t") > 1 for factors in got)
 
@@ -314,10 +324,10 @@ def test_recombination_divides_only_candidates_whose_values_divide(monkeypatch):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(funcfield, name, counted)
-    assert ff_factor(m, "t", ["u"]) == [(m, 1)]
+    assert ff_factor(m, "t") == [(m, 1)]
     assert calls == {"exact_quotient": 0, "_bezout_family": 1}
     # A true factor passes the value test and is divided out.
-    factors = ff_factor((t**2 - u - 1) * (t - u), "t", ["u"])
+    factors = ff_factor((t**2 - u - 1) * (t - u), "t")
     assert sorted(str(_canon(p, "t")) for p, _ in factors) == sorted(
         [str(_canon(t**2 - u - 1, "t")), str(_canon(t - u, "t"))]
     )

@@ -187,9 +187,9 @@ def _decomposition_key(dec):
 
 def test_principal_prime_shortcut_changes_no_decomposition(monkeypatch):
     # The cusp, the A1 cone and y^4 + 1 are principal primes; the other
-    # generators are reducible, which the certificate never claims.
+    # generators are reducible, which `_principal_prime` tells apart.
     want = [_decomposition_key(decompose(I)) for I in _principal_cases()]
-    monkeypatch.setattr(primdec, "certified_irreducible", lambda m, t, params: False)
+    monkeypatch.setattr(primdec, "_principal_prime", lambda I: False)
     assert [_decomposition_key(decompose(I)) for I in _principal_cases()] == want
     assert [len(components) for components, _ in want] == [1, 1, 2, 1, 2, 1]
 
@@ -204,6 +204,26 @@ def test_principal_prime_runs_no_gtz_split(monkeypatch):
         [(primary, prime)], retries = _decomposition_key(decompose(I))
         assert primary == prime == tuple(I.groebner())
         assert retries == 0
+
+
+def test_irreducible_generator_whose_first_points_split_is_principal(monkeypatch):
+    # t^2 - u - 1 is of degree 1 in u.  t^2 - u^2 - 1 is irreducible over
+    # Q(u), but its value at u = 0, t^2 - 1, splits, so `ff_factor` lifts
+    # and recombines to prove it.  Both skip the GTZ split, with the
+    # decomposition the split gives.
+    ring = PolyRing(("t", "u"))
+    t, u = ring.gens()
+    cases = [Ideal(ring, [t**2 - u - 1]), Ideal(ring, [t**2 - u**2 - 1])]
+    with monkeypatch.context() as patch:
+        patch.setattr(primdec, "_principal_prime", lambda I: False)
+        want = [_decomposition_key(decompose(I)) for I in cases]
+
+    def refuse(*args):
+        raise AssertionError("a principal prime reached the GTZ split")
+
+    monkeypatch.setattr(primdec, "independent_set", refuse)
+    fresh = [Ideal(ring, I.generators) for I in cases]
+    assert [_decomposition_key(decompose(I)) for I in fresh] == want
 
 
 def test_squarefree_part_of_a_monomial(qxyz):
